@@ -80,6 +80,7 @@ from .hypercenter import (
     hypercenter_oracle,
     inner_induction_hypercenter,
     intersection_of_class_maximal,
+    semidirect_hypercenter,
     verify_baer,
     verify_remark4,
     verify_theorem1,

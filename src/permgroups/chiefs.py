@@ -21,6 +21,7 @@ from .groups import (
 )
 from .limits import Limits, resolve
 from .perms import Permutation
+from .primes import is_prime
 
 
 class ChiefFactor:
@@ -163,7 +164,7 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
     seen: set[frozenset] = set()
     for cls in G.conjugacy_classes(lim.enumeration):
         rep = cls[0]
-        if rep.is_identity() or not _is_prime(rep.order()):
+        if rep.is_identity() or not is_prime(rep.order()):
             continue
         N = subgroup_from_elements(G, cls)  # <class of rep> = normal closure
         key = N.element_set(lim.enumeration)
@@ -179,17 +180,6 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
     minimal.sort(key=_encoding)
     G._cache["min_normals"] = tuple(minimal)
     return minimal
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _encoding(sub: PermGroup) -> tuple:
@@ -290,6 +280,17 @@ def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
             cf.ambient, cf.upper, cf.centralizer
         )
     return cached
+
+
+def all_generators_induce_inner(cf: ChiefFactor) -> bool:
+    """Does all of G act on H/K by inner automorphisms, i.e. G = H * C_G(H/K)?
+
+    Inner-inducing elements form a subgroup (the preimage of Inn(H/K)), so
+    G's generators suffice; the brute-force per-element oracle is
+    induces_inner_automorphism.
+    """
+    iis = inner_induction_subgroup(cf)
+    return all(iis.contains(g) for g in cf.ambient.generators)
 
 
 def factor_semidirect(cf: ChiefFactor, limits: Limits | None = None) -> PermGroup:

@@ -3,83 +3,71 @@ built on chief series: nilpotency, quasi-F membership, N_ca membership, and
 s-critical group detection.
 
 Built-in classes: N (nilpotent), Np:<p> (p-groups), N* (quasinilpotent),
-Nca, abelian, and all.  A class may carry a canonical local definition
-p -> F(p); for such classes F-centrality of a chief factor reduces to
-G/C_G(H/K) lying in F(p) for every prime p dividing the factor order, and
-that reduction is used as the production path (the definitional semidirect
-path stays available and the two are asserted equivalent in the tests).
+Nca, abelian, and all.  X-centrality of a chief factor H/K is by definition
+membership of (H/K) x| G/C_G(H/K) in X; two production paths avoid building
+that product:
+
+* N* carries a central test from the paper's Remark 4: H/K is N*-central
+  iff every element of G acts on it as an inner automorphism, i.e.
+  G = H * C_G(H/K).
+* A class with a canonical local definition p -> F(p) reduces F-centrality
+  to G/C_G(H/K) lying in F(p) for every prime p dividing the factor order.
+
+The definitional semidirect path stays available, and both shortcuts are
+asserted equal to it on every corpus chief factor in the tests.
+
+Classes compare and hash by identity, so caches keyed by a class never
+serve one class's verdicts to another class that shares its name.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from .chiefs import (
     ChiefFactor,
+    all_generators_induce_inner,
     chief_series,
     factor_semidirect,
-    inner_induction_subgroup,
     minimal_normal_subgroups,
 )
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup, commutator_subgroup, quotient_group
 from .lattice import all_subgroups
 from .limits import Limits, resolve
+from .primes import is_prime, prime_divisors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupClass:
     """A named, isomorphism-invariant membership predicate.
 
     ``local_definition`` (when present) maps each prime p to the class F(p)
-    of a canonical local definition; ``hereditary`` asserts closure under
-    subgroups, and ``contains_nilpotent`` that every nilpotent group belongs.
-    For user-supplied local definitions both fullness and integration are
-    taken on faith (they quantify over all groups), and a warning is issued.
+    of a canonical local definition; ``central_test`` (when present) decides
+    X-centrality of a chief factor without building the semidirect product;
+    ``hereditary`` asserts closure under subgroups, and ``contains_nilpotent``
+    that every nilpotent group belongs.  For user-supplied local definitions
+    both fullness and integration are taken on faith (they quantify over all
+    groups), and a warning is issued.
     """
 
     name: str
-    membership: Callable[[PermGroup], bool] = field(compare=False)
-    local_definition: Callable[[int], "GroupClass"] | None = field(
-        default=None, compare=False
-    )
+    membership: Callable[[PermGroup], bool]
+    local_definition: Callable[[int], "GroupClass"] | None = None
+    central_test: Callable[[ChiefFactor], bool] | None = None
     hereditary: bool = False
     contains_nilpotent: bool = False
     user_asserted: bool = False
 
     def member(self, G: PermGroup) -> bool:
-        key = ("class_member", self.name)
+        key = ("class_member", self)
         cached = G._cache.get(key)
         if cached is None:
             cached = G._cache[key] = bool(self.membership(G))
         return cached
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- elementary predicates ---------------------------------------------------
@@ -106,7 +94,7 @@ def is_nilpotent(G: PermGroup) -> bool:
 
 
 def is_p_group(G: PermGroup, p: int) -> bool:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     n = G.order
     while n % p == 0:
@@ -140,7 +128,7 @@ def is_class_central_local(
             stacklevel=2,
         )
     Q = _centralizer_quotient(cf, limits)
-    return all(X.local_definition(p).member(Q) for p in _prime_divisors(cf.factor.order))
+    return all(X.local_definition(p).member(Q) for p in prime_divisors(cf.factor.order))
 
 
 def _centralizer_quotient(cf: ChiefFactor, limits: Limits | None) -> PermGroup:
@@ -154,16 +142,19 @@ def _centralizer_quotient(cf: ChiefFactor, limits: Limits | None) -> PermGroup:
 def is_class_central(cf: ChiefFactor, X: GroupClass, limits: Limits | None = None) -> bool:
     """Is the chief factor X-central, i.e. (H/K) x| G/C_G(H/K) in X?
 
-    Classes with a hereditary canonical local definition use the local path;
-    otherwise the semidirect product is built and tested.  When the product
-    exceeds the bounds, the local path is the fallback; without one the
-    resource error propagates.
+    A class's own central test answers first (for N*, the inner-automorphism
+    criterion of Remark 4).  Otherwise classes with a hereditary canonical
+    local definition use the local path, and the rest build and test the
+    semidirect product.  When the product exceeds the bounds, the local path
+    is the fallback; without one the resource error propagates.
     """
-    key = ("central", X.name)
+    key = ("central", X)
     cached = cf._cache.get(key)
     if cached is not None:
         return cached
-    if X.local_definition is not None and X.hereditary:
+    if X.central_test is not None:
+        verdict = X.central_test(cf)
+    elif X.local_definition is not None and X.hereditary:
         verdict = is_class_central_local(cf, X, limits)
     else:
         try:
@@ -180,26 +171,19 @@ def is_class_central(cf: ChiefFactor, X: GroupClass, limits: Limits | None = Non
 # -- quasi-F membership --------------------------------------------------------
 
 
-def _all_generators_induce_inner(cf: ChiefFactor) -> bool:
-    iis = inner_induction_subgroup(cf)
-    return all(iis.contains(g) for g in cf.ambient.generators)
-
-
 def is_quasi_F(G: PermGroup, F: GroupClass, limits: Limits | None = None) -> bool:
     """Every chief factor is F-central or has all of G inducing inner
     automorphisms on it.
 
-    Inner-inducing elements form a subgroup (the preimage of Inn(H/K)), so
-    checking G's generators suffices; the brute-force per-element oracle is
-    induces_inner_automorphism.  Only one chief series is walked; the
-    verdict is tie-break independent by Jordan-Hoelder (asserted in tests).
+    Only one chief series is walked; the verdict is tie-break independent
+    by Jordan-Hoelder (asserted in tests).
     """
     if not F.contains_nilpotent:
         raise InputError(
             f"quasi-{F.name} membership requires a class containing all nilpotent groups"
         )
     for cf in chief_series(G, limits).factors:
-        if _all_generators_induce_inner(cf):
+        if all_generators_induce_inner(cf):
             continue
         if is_class_central(cf, F, limits):
             continue
@@ -228,8 +212,10 @@ def is_nca_member(G: PermGroup, limits: Limits | None = None) -> bool:
 # -- built-in classes ---------------------------------------------------------
 
 
+@cache
 def p_groups(p: int) -> GroupClass:
-    if not _is_prime(p):
+    """The class of p-groups; one object per prime, so class-keyed caches hit."""
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     return GroupClass(
         name=f"Np:{p}",
@@ -249,6 +235,7 @@ NILPOTENT = GroupClass(
 QUASINILPOTENT = GroupClass(
     name="N*",
     membership=is_quasinilpotent,
+    central_test=all_generators_induce_inner,
     contains_nilpotent=True,
 )
 
@@ -273,9 +260,11 @@ ALL_GROUPS = GroupClass(
 )
 
 
+@cache
 def quasi_class(F: GroupClass) -> GroupClass:
-    """The class F* of quasi-F groups (N* when F is the nilpotent class)."""
-    if F.name == NILPOTENT.name:
+    """The class F* of quasi-F groups (N* when F is the nilpotent class);
+    one object per F, so class-keyed caches hit across calls."""
+    if F is NILPOTENT:
         return QUASINILPOTENT
     return GroupClass(
         name=f"({F.name})*",

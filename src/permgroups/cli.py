@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -115,16 +116,26 @@ def _load_corpus_file(path: Path) -> list[PermGroup]:
     seen_ids = set()
     for entry in entries:
         gid = entry.get("id") if isinstance(entry, dict) else None
-        if not gid or gid in seen_ids:
+        if not isinstance(gid, str) or not gid or gid in seen_ids:
             raise InputError(f"corpus entries need unique 'id' fields, got {entry!r}")
         seen_ids.add(gid)
         if "path" in entry:
+            if not isinstance(entry["path"], str):
+                raise InputError(f"corpus entry {gid!r}: 'path' must be a string")
             g = _load_group(str(Path(path.parent, entry["path"])))
         elif "constructor" in entry:
-            ctor = CONSTRUCTORS.get(entry["constructor"])
+            ctor_name = entry["constructor"]
+            ctor = CONSTRUCTORS.get(ctor_name) if isinstance(ctor_name, str) else None
             if ctor is None:
-                raise InputError(f"unknown constructor {entry['constructor']!r}")
+                raise InputError(f"unknown constructor {ctor_name!r}")
             args = entry.get("args", [])
+            arity = len(inspect.signature(ctor).parameters)
+            if (not isinstance(args, list) or len(args) != arity
+                    or any(type(a) is not int for a in args)):
+                raise InputError(
+                    f"corpus entry {gid!r}: constructor {ctor_name!r} "
+                    f"takes 'args' as a list of {arity} integers, got {args!r}"
+                )
             g = ctor(*args)
         else:
             raise InputError(f"corpus entry {gid!r} needs 'constructor' or 'path'")

@@ -20,27 +20,10 @@ from typing import TYPE_CHECKING
 from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup, subgroup_from_elements
 from .limits import Limits, resolve
+from .primes import is_prime_power, smallest_prime_factor
 
 if TYPE_CHECKING:
     from .classes import GroupClass
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = _smallest_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 class SubgroupLattice:
@@ -68,7 +51,7 @@ class SubgroupLattice:
             for g in ambient.generators
         ]
         self._full_mask = (1 << n) - 1
-        self._max_proper = n // _smallest_prime_factor(n) if n > 1 else 0
+        self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
         gen_info = self._build()
         # node order: by (subgroup order, mask); deterministic
@@ -162,7 +145,7 @@ class SubgroupLattice:
         # cyclic prime-power seeds, one per distinct subgroup
         seeds: dict[int, int] = {}
         for x, e in enumerate(self._elems):
-            if x == identity_idx or not _is_prime_power(e.order()):
+            if x == identity_idx or not is_prime_power(e.order()):
                 continue
             mask = trivial_mask
             col = self._column(x)

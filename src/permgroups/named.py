@@ -5,6 +5,7 @@ from __future__ import annotations
 from .errors import InputError
 from .groups import PermGroup, direct_product
 from .perms import Permutation
+from .primes import is_prime
 
 
 def cyclic(n: int) -> PermGroup:
@@ -75,7 +76,7 @@ def quaternion8() -> PermGroup:
 
 def special_linear2(p: int) -> PermGroup:
     """SL(2, p) acting on the p^2 - 1 nonzero row vectors of F_p^2."""
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     vectors = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
     index = {v: i for i, v in enumerate(vectors)}
@@ -93,6 +94,8 @@ def special_linear2(p: int) -> PermGroup:
 
 
 def elementary_abelian(p: int, rank: int) -> PermGroup:
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     if rank < 1:
         raise InputError("rank must be positive")
     G = cyclic(p)

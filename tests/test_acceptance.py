@@ -49,10 +49,11 @@ def test_criterion_2_baer_suite(standard):
 
 
 def test_criterion_3_remark4_suite(standard):
-    """inner_induction_hypercenter(G) = Z_{N*}(G) exactly."""
+    """inner_induction_hypercenter(G) = Z_{N*}(G) exactly, with Z_{N*} climbed
+    on the definitional semidirect path (N*'s own central test is Remark 4)."""
     for G in standard:
         inner = pg.inner_induction_hypercenter(G)
-        z = pg.hypercenter(G, pg.QUASINILPOTENT).subgroup
+        z = pg.semidirect_hypercenter(G, pg.QUASINILPOTENT)
         assert inner == z, G.name
         assert inner.element_set() == z.element_set(), G.name
     _passed("criterion 3: inner-induction hypercenter = Z_{N*}")
@@ -156,6 +157,20 @@ def test_criterion_8_local_path_equals_definitional(standard):
                 checked += 1
     assert checked > 60
     _passed(f"criterion 8: local path = definitional path on {checked} factors")
+
+
+def test_criterion_8_inner_criterion_equals_definitional(standard):
+    """Remark-4 central test == semidirect path for N*, on every corpus factor."""
+    checked = 0
+    for G in standard:
+        for series in (pg.chief_series(G), pg.chief_series(G, reverse_tiebreak=True)):
+            for cf in series.factors:
+                fast = pg.is_class_central(cf, pg.QUASINILPOTENT)
+                definitional = pg.is_class_central_semidirect(cf, pg.QUASINILPOTENT)
+                assert fast == definitional, G.name
+                checked += 1
+    assert checked >= 150
+    _passed(f"criterion 8 (N*): inner criterion = definitional path on {checked} factors")
 
 
 def test_criterion_9_s_critical_detection(standard):

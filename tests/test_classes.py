@@ -193,3 +193,26 @@ def test_quasi_class_of_nilpotent_is_quasinilpotent():
     assert pg.quasi_class(pg.NILPOTENT) is pg.QUASINILPOTENT
     star = pg.quasi_class(pg.ALL_GROUPS)
     assert star.member(pg.symmetric(5))
+
+
+def test_class_caches_keyed_by_class_not_name():
+    # a user class sharing a built-in's name must not be served its verdicts
+    from permgroups.classes import is_abelian_group
+
+    Q8 = pg.quaternion8()
+    assert pg.NILPOTENT.member(Q8)
+    assert pg.GroupClass(name="N", membership=is_abelian_group).member(Q8) is False
+
+    A5xS3 = pg.direct_product(pg.alternating(5), pg.symmetric(3), name="A5xS3")
+    cf = next(c for c in pg.chief_series(A5xS3).factors if c.factor.order == 60)
+    impostor = pg.GroupClass(name="N*", membership=is_abelian_group)
+    assert pg.is_class_central(cf, pg.QUASINILPOTENT)
+    assert not pg.is_class_central(cf, impostor)
+    assert pg.hypercenter(A5xS3, pg.QUASINILPOTENT).subgroup.order == 60
+    assert pg.hypercenter(A5xS3, impostor).subgroup.order == 1
+
+
+def test_derived_classes_one_object_per_argument():
+    assert pg.p_groups(3) is pg.p_groups(3)
+    assert pg.p_groups(2) is not pg.p_groups(3)
+    assert pg.quasi_class(pg.ALL_GROUPS) is pg.quasi_class(pg.ALL_GROUPS)

@@ -158,6 +158,23 @@ def test_cli_corpus_spec_rejects_duplicate_ids(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", [
+    {"constructor": "cyclic", "args": ["x"]},
+    {"constructor": "cyclic", "args": 5},
+    {"constructor": "cyclic", "args": [1, 2, 3]},
+    {"constructor": "elementary_abelian", "args": [4, 2]},
+    {"path": 5},
+    {"constructor": ["cyclic"], "args": [2]},
+    {"id": ["X"], "constructor": "cyclic", "args": [2]},
+])
+def test_cli_corpus_spec_rejects_malformed_entries(tmp_path, entry):
+    spec = tmp_path / "corpus.json"
+    spec.write_text(json.dumps([{"id": "X", **entry}]))
+    code, _, err = _run_cli(["info", "--corpus", str(spec)])
+    assert code == 2, err
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_report_suite_failure_exit_code(capsys):
     # the exit-1 path is unreachable through honest computation (the checked
     # identities are theorems), so feed a fabricated failing report

@@ -24,13 +24,16 @@ def test_factor_semidirect_bound():
 
 def test_is_class_central_falls_back_to_local_path():
     # semidirect construction over budget: classes with a local definition
-    # still answer; classes without one surface the resource error
+    # or a central test still answer; classes with neither surface the
+    # resource error
     S5 = pg.symmetric(5)
     cf = pg.chief_series(S5).factors[0]  # A5, semidirect order 7200
     tight = pg.Limits(enumeration=1000)
     assert is_class_central(cf, pg.NILPOTENT, limits=tight) is False
+    # N* decides by the inner-automorphism criterion: transpositions act outer
+    assert is_class_central(cf, pg.QUASINILPOTENT, limits=tight) is False
     with pytest.raises(ResourceLimitError):
-        is_class_central(cf, pg.QUASINILPOTENT, limits=tight)
+        is_class_central(cf, pg.NCA, limits=tight)
 
 
 def test_lattice_bound_names_the_bound():
