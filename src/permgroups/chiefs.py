@@ -223,12 +223,13 @@ def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup,
     lies strictly between K and H.
     """
     lim = resolve(limits)
+    conj = [(g.inverse(), g) for g in G.generators]
     for sub, label in ((K, "K"), (H, "H")):
         for n in sub.generators:
             if not G.contains(n):
                 raise InputError(f"{label} is not a subgroup of G")
-            for g in G.generators:
-                if not sub.contains(n.conjugated_by(g)):
+            for g_inv, g in conj:
+                if not sub.contains(g_inv * n * g):
                     raise PreconditionError(f"{label} is not normal in G")
     if not all(H.contains(k) for k in K.generators) or K.order >= H.order:
         raise PreconditionError("need K < H with K contained in H")
@@ -378,9 +379,10 @@ def semisimple_decomposition(
     """Express a semisimple non-abelian normal subgroup N as an internal
     direct product of minimal normal subgroups of G."""
     lim = resolve(limits)
+    conj = [(g.inverse(), g) for g in G.generators]
     for n in N.generators:
-        for g in G.generators:
-            if not N.contains(n.conjugated_by(g)):
+        for g_inv, g in conj:
+            if not N.contains(g_inv * n * g):
                 raise PreconditionError("N is not normal in G")
     _require_semisimple(N, lim)
     chosen: list[Subgroup] = []

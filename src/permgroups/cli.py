@@ -35,7 +35,8 @@ from .hypercenter import (
     verify_remark4,
     verify_theorem1,
 )
-from .named import CONSTRUCTORS
+from .limits import check_degree
+from .named import CONSTRUCTOR_DEGREES, CONSTRUCTORS
 from .perms import format_permutation, parse_permutation
 
 
@@ -80,6 +81,7 @@ def parse_group_file(text: str, name: str | None = None) -> PermGroup:
                 raise InputError(f"line {lineno}: bad degree {parts[1]!r}") from None
             if degree < 1:
                 raise InputError(f"line {lineno}: degree must be at least 1")
+            check_degree(degree, f"line {lineno}: the group")
             continue
         try:
             gens.append(parse_permutation(line, degree))
@@ -136,6 +138,7 @@ def _load_corpus_file(path: Path) -> list[PermGroup]:
                     f"corpus entry {gid!r}: constructor {ctor_name!r} "
                     f"takes 'args' as a list of {arity} integers, got {args!r}"
                 )
+            check_degree(CONSTRUCTOR_DEGREES[ctor_name](*args), f"corpus entry {gid!r}")
             g = ctor(*args)
         else:
             raise InputError(f"corpus entry {gid!r} needs 'constructor' or 'path'")

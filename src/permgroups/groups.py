@@ -7,12 +7,16 @@ stabilizer chain is built eagerly), so any value can be shared freely.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .limits import Limits, resolve
 from .perms import Permutation
+
+# sort key giving the same order as Permutation.__lt__, without its calls
+_IMAGES = attrgetter("images")
 
 
 class PermGroup:
@@ -79,7 +83,7 @@ class PermGroup:
                 raise ResourceLimitError(
                     f"group order {self.order} exceeds enumeration bound {bound}"
                 )
-            elems = self._cache["elements"] = tuple(sorted(self.chain.elements()))
+            elems = self._cache["elements"] = tuple(sorted(self.chain.elements(), key=_IMAGES))
         return elems
 
     def element_set(self, limit: int | None = None) -> frozenset[Permutation]:
@@ -93,7 +97,7 @@ class PermGroup:
         val = self._cache.get("classes")
         if val is None:
             elems = self.elements(limit)
-            gens = self.generators
+            conj = [(g.inverse(), g) for g in self.generators]
             seen: set[Permutation] = set()
             classes = []
             for x in elems:
@@ -103,13 +107,13 @@ class PermGroup:
                 queue = [x]
                 while queue:
                     y = queue.pop()
-                    for g in gens:
-                        z = y.conjugated_by(g)
+                    for g_inv, g in conj:
+                        z = g_inv * y * g
                         if z not in orbit:
                             orbit.add(z)
                             queue.append(z)
                 seen |= orbit
-                classes.append(tuple(sorted(orbit)))
+                classes.append(tuple(sorted(orbit, key=_IMAGES)))
             val = self._cache["classes"] = tuple(classes)
         return val
 
@@ -167,10 +171,11 @@ class Subgroup(PermGroup):
     def is_normal(self) -> bool:
         val = self._cache.get("normal")
         if val is None:
+            conj = [(s.inverse(), s) for s in self.ambient.generators]
             val = all(
-                self.contains(g.conjugated_by(s))
+                self.contains(s_inv * g * s)
                 for g in self.generators
-                for s in self.ambient.generators
+                for s_inv, s in conj
             )
             self._cache["normal"] = val
         return val
@@ -195,12 +200,13 @@ def subgroup_from_elements(
     resulting generator list stays logarithmic in the subgroup order.
     """
     gens: list[Permutation] = []
+    # grown in place: the same _add sequence StabilizerChain(degree, gens) runs
     chain = StabilizerChain(G.degree, ())
-    for e in sorted(set(elements)):
+    for e in sorted(set(elements), key=_IMAGES):
         if e.is_identity() or chain.contains(e):
             continue
         gens.append(e)
-        chain = StabilizerChain(G.degree, gens)
+        chain._add(e)
     return Subgroup(G, gens, name=name)
 
 
@@ -239,15 +245,17 @@ def normal_closure(G: PermGroup, S: PermGroup) -> Subgroup:
             raise InputError("S is not a subgroup of G")
     gens = list(S.generators)
     chain = StabilizerChain(G.degree, gens)
+    conj = [(g.inverse(), g) for g in G.generators]
     changed = True
     while changed:
         changed = False
         for t in list(gens):
-            for g in G.generators:
-                c = t.conjugated_by(g)
+            for g_inv, g in conj:
+                c = g_inv * t * g
                 if not chain.contains(c):
                     gens.append(c)
-                    chain = StabilizerChain(G.degree, gens)
+                    # grown in place, as StabilizerChain(degree, gens) would
+                    chain._add(c)
                     changed = True
     return Subgroup(G, gens)
 
@@ -344,11 +352,12 @@ def quotient_group(G: PermGroup, N: Subgroup, limits: Limits | None = None) -> Q
     """
     if N.degree != G.degree:
         raise InputError("quotient requires matching degrees")
+    conj = [(g.inverse(), g) for g in G.generators]
     for n in N.generators:
         if not G.contains(n):
             raise InputError("N is not a subgroup of G")
-        for g in G.generators:
-            if not N.contains(n.conjugated_by(g)):
+        for g_inv, g in conj:
+            if not N.contains(g_inv * n * g):
                 raise PreconditionError(
                     f"subgroup is not normal: conjugate of {n!r} by {g!r} falls outside"
                 )

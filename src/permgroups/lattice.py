@@ -46,10 +46,10 @@ class SubgroupLattice:
 
         self._identity_idx = index[Permutation.identity(ambient.degree)]
         self._columns: dict[int, array] = {}
-        self._conj_arrays = [
-            array("H", (index[e.conjugated_by(g)] for e in elems))
-            for g in ambient.generators
-        ]
+        self._conj_arrays = []
+        for g in ambient.generators:
+            g_inv = g.inverse()
+            self._conj_arrays.append(array("H", (index[g_inv * e * g] for e in elems)))
         self._full_mask = (1 << n) - 1
         self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
@@ -300,14 +300,3 @@ def all_subgroups(G: PermGroup, limits: Limits | None = None) -> SubgroupLattice
         cached = G._cache["lattice"] = SubgroupLattice(G, limits)
     return cached
 
-
-def maximal_subgroups(L: SubgroupLattice) -> list[Subgroup]:
-    return L.maximal_subgroups()
-
-
-def frattini_subgroup(L: SubgroupLattice) -> Subgroup:
-    return L.frattini_subgroup()
-
-
-def class_maximal_subgroups(L: SubgroupLattice, X: "GroupClass") -> list[Subgroup]:
-    return L.class_maximal_subgroups(X)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
+
 
 @dataclass
 class Limits:
@@ -15,7 +17,8 @@ class Limits:
     enumeration: int = 10_000
     # Largest group order for which the full subgroup lattice is built.
     lattice: int = 2_000
-    # Largest point count for semidirect-product realizations.
+    # Largest point count the package realizes: semidirect products, group
+    # files and constructor arguments.
     semidirect_degree: int = 10_000
 
 
@@ -26,3 +29,10 @@ DEFAULT = Limits()
 
 def resolve(limits: Limits | None) -> Limits:
     return DEFAULT if limits is None else limits
+
+
+def check_degree(degree: int, what: str) -> None:
+    """Reject ``what`` on ``degree`` points before anything that size is built."""
+    bound = DEFAULT.semidirect_degree
+    if degree > bound:
+        raise InputError(f"{what} needs {degree} points, exceeding the point bound {bound}")

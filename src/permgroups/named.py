@@ -115,3 +115,15 @@ CONSTRUCTORS = {
     "special_linear2": special_linear2,
     "elementary_abelian": elementary_abelian,
 }
+
+#: Point count each constructor realizes from its arguments, so a caller can
+#: check the point bound before the constructor allocates anything.
+CONSTRUCTOR_DEGREES = {
+    "cyclic": lambda n: n,
+    "symmetric": lambda n: n,
+    "alternating": lambda n: max(n, 1),
+    "dihedral": lambda order: order // 2,
+    "quaternion8": lambda: 8,
+    "special_linear2": lambda p: p * p - 1,
+    "elementary_abelian": lambda p, rank: p * rank,
+}

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InputError
+
+
+# degree -> (0, 1, ..., degree-1), shared by every identity test
+_IDENTITY_IMAGES: dict[int, tuple[int, ...]] = {}
 
 
 class Permutation:
@@ -77,7 +82,10 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise InputError("degree mismatch in permutation product")
-        return Permutation._unchecked(tuple(b[i] for i in a))
+        if len(a) == 1:
+            # itemgetter with one index returns a scalar, not a tuple
+            return Permutation._unchecked(b)
+        return Permutation._unchecked(itemgetter(*a)(b))
 
     def inverse(self) -> "Permutation":
         images = self.images
@@ -95,10 +103,12 @@ class Permutation:
         return self.inverse() * other.inverse() * self * other
 
     def is_identity(self) -> bool:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return False
-        return True
+        images = self.images
+        n = len(images)
+        ident = _IDENTITY_IMAGES.get(n)
+        if ident is None:
+            ident = _IDENTITY_IMAGES[n] = tuple(range(n))
+        return images == ident
 
     def min_moved(self) -> int:
         for i, j in enumerate(self.images):

@@ -14,10 +14,10 @@ from permgroups.errors import InputError
 S5_TEXT = "degree 5\n(0 1 2 3 4)\n(0 1)\n"
 
 
-def _run_cli(args):
+def _run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "permgroups.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -173,6 +173,44 @@ def test_cli_corpus_spec_rejects_malformed_entries(tmp_path, entry):
     code, _, err = _run_cli(["info", "--corpus", str(spec)])
     assert code == 2, err
     assert "input error" in err and "Traceback" not in err
+
+
+def test_cli_group_file_degree_beyond_point_bound(tmp_path):
+    big = tmp_path / "big.grp"
+    big.write_text("degree 99999999999\n(0 1)\n")
+    code, _, err = _run_cli(["info", "--group", str(big)], timeout=30)
+    assert code == 2, err
+    assert "point bound 10000" in err and "Traceback" not in err
+    code, _, err = _run_cli(["info", "--group", str(big), "--semidirect-bound", "50"],
+                            timeout=30)
+    assert code == 2 and "point bound 50" in err
+
+
+@pytest.mark.parametrize("ctor, args", [
+    ("cyclic", [100000000]),
+    ("symmetric", [10001]),
+    ("alternating", [10001]),
+    ("dihedral", [20004]),
+    ("special_linear2", [101]),
+    ("elementary_abelian", [2, 5001]),
+])
+def test_cli_corpus_constructor_beyond_point_bound(tmp_path, ctor, args):
+    spec = tmp_path / "corpus.json"
+    spec.write_text(json.dumps([{"id": "a", "constructor": ctor, "args": args}]))
+    # a constructor that allocated first would hang here instead of failing
+    code, _, err = _run_cli(["info", "--corpus", str(spec)], timeout=30)
+    assert code == 2, err
+    assert "point bound 10000" in err and "Traceback" not in err
+
+
+def test_constructor_degrees_match_constructors():
+    from permgroups.named import CONSTRUCTOR_DEGREES, CONSTRUCTORS
+
+    assert CONSTRUCTOR_DEGREES.keys() == CONSTRUCTORS.keys()
+    for name, args in [("cyclic", [6]), ("symmetric", [4]), ("alternating", [5]),
+                       ("dihedral", [10]), ("quaternion8", []),
+                       ("special_linear2", [3]), ("elementary_abelian", [3, 2])]:
+        assert CONSTRUCTOR_DEGREES[name](*args) == CONSTRUCTORS[name](*args).degree
 
 
 def test_report_suite_failure_exit_code(capsys):

@@ -232,3 +232,41 @@ def test_upper_central_series():
     assert [t.order for t in pg.upper_central_series(S3)] == [1]
     C6 = pg.cyclic(6)
     assert pg.upper_central_series(C6)[-1].order == 6
+
+
+def _chain_levels(chain):
+    return [(lvl.point, lvl.gens, list(lvl.transversal.items())) for lvl in chain.levels]
+
+
+@pytest.mark.parametrize("G", [pg.symmetric(4), pg.special_linear2(3), pg.dihedral(12),
+                               pg.alternating(5)], ids=lambda G: G.name)
+def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
+    # subgroup_from_elements and normal_closure grow one chain with _add; it
+    # must equal the chain built from scratch on the kept generators
+    from permgroups import groups
+    from permgroups.chain import StabilizerChain
+
+    built = []
+
+    class Recording(StabilizerChain):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    elems = G.elements()
+    S = G.subgroup([G.generators[-1]])
+    monkeypatch.setattr(groups, "StabilizerChain", Recording)
+    cases = [
+        lambda: pg.subgroup_from_elements(G, elems),
+        lambda: pg.normal_closure(G, S),
+    ]
+    for make in cases:
+        built.clear()
+        H = make()
+        # the first chain built inside the call is the one grown in place
+        grown = built[0]
+        fresh = StabilizerChain(G.degree, H.generators)
+        assert _chain_levels(grown) == _chain_levels(fresh)
+        assert grown.order() == H.order

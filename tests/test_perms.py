@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,3 +82,54 @@ def test_conjugation():
     p = parse_permutation("(0 1 2)", 4)
     g = parse_permutation("(2 3)", 4)
     assert p.conjugated_by(g) == parse_permutation("(0 1 3)", 4)
+
+
+# The naive tuple formulas the kernel replaced; they are the oracle here.
+def _naive_mul(p, q):
+    return tuple(q.images[i] for i in p.images)
+
+
+def _naive_inverse(p):
+    inv = [0] * p.degree
+    for i, j in enumerate(p.images):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _naive_is_identity(p):
+    return all(i == j for i, j in enumerate(p.images))
+
+
+def _naive_conjugate(p, g):
+    # g^-1 * p * g sends x to g(p(g^-1(x)))
+    g_inv = _naive_inverse(g)
+    return tuple(g.images[p.images[g_inv[x]]] for x in range(p.degree))
+
+
+def _check_kernel(p, q):
+    prod = p * q
+    assert type(prod.images) is tuple and prod.images == _naive_mul(p, q)
+    assert hash(prod) == hash(Permutation(_naive_mul(p, q)))
+    assert p.inverse().images == _naive_inverse(p)
+    assert p.is_identity() == _naive_is_identity(p)
+    assert p.conjugated_by(q).images == _naive_conjugate(p, q)
+    # the hoisted form the conjugation loops use
+    assert (q.inverse() * p * q).images == _naive_conjugate(p, q)
+
+
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(perm_strategy(n), perm_strategy(n))
+))
+def test_kernel_matches_naive_formulas(pair):
+    _check_kernel(*pair)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_kernel_small_degrees_exhaustive(degree):
+    # degree 1 is where itemgetter returns a scalar instead of a tuple
+    perms = [Permutation(images) for images in permutations(range(degree))]
+    for p in perms:
+        for q in perms:
+            _check_kernel(p, q)
+    ident = Permutation.identity(degree)
+    assert ident.is_identity() and (ident * ident).images == tuple(range(degree))
