@@ -1,11 +1,19 @@
 """Exhaustive subgroup lattices of small groups.
 
 The lattice is seeded with the cyclic subgroups of prime-power order and
-closed under joins.  Joins are computed for one representative per conjugacy
-orbit and the orbits are then closed explicitly; since the seed family is
-conjugation-closed, every join chain from cyclic seeds survives conjugation
-and the full lattice is reached (the tests cross-check this against an
-independent add-one-element closure oracle).
+closed under joins (the cyclic extension method of Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, ch. 4).  Joins are computed for one
+representative H per conjugacy orbit and the orbits are then closed
+explicitly; since the seed family is conjugation-closed, every join chain
+from cyclic seeds survives conjugation and the full lattice is reached (the
+tests cross-check this against an independent add-one-element closure
+oracle).  Two kinds of join cannot find a new subgroup and are not computed:
+for h in H, <H, s^h> = <H, s>^h = <H, s>, so only the first seed of each
+class under conjugation by H is joined; and when no order strictly between
+|H| and |G| is a multiple of |H| dividing |G| and at most |G|/p, p the least
+prime dividing |G|, Lagrange leaves G as the only join.  An element's right
+multiplication and conjugation arrays are composed from those of G's
+generators along its word, never from permutation products.
 
 Subgroups are identified by their element set, encoded as a bitmask over the
 sorted element list of the ambient group; generator lists are never compared.
@@ -15,11 +23,13 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup, subgroup_from_elements
 from .limits import Limits, resolve
+from .perms import Permutation
 from .primes import is_prime_power, smallest_prime_factor
 
 if TYPE_CHECKING:
@@ -37,53 +47,63 @@ class SubgroupLattice:
                 f"subgroup lattice bound {lim.lattice} exceeded by group order {n}"
             )
         self.ambient = ambient
-        elems = ambient.elements(lim.enumeration)
-        self._elems = elems
+        elems = self._elems = ambient.elements(lim.enumeration)
         index = {e: i for i, e in enumerate(elems)}
-        self._index = index
         self._n = n
-        from .perms import Permutation
-
-        self._identity_idx = index[Permutation.identity(ambient.degree)]
-        self._columns: dict[int, array] = {}
-        self._conj_arrays = []
+        identity_idx = self._identity_idx = index[Permutation.identity(ambient.degree)]
+        # right multiplication and conjugation by each generator of G
+        self._gen_columns, self._conj_arrays = [], []
         for g in ambient.generators:
             g_inv = g.inverse()
+            self._gen_columns.append(array("H", (index[e * g] for e in elems)))
             self._conj_arrays.append(array("H", (index[g_inv * e * g] for e in elems)))
+        # breadth-first word tree: element x is word[x][0] times generator word[x][1]
+        word: dict[int, tuple[int, int]] = {identity_idx: (identity_idx, 0)}
+        queue = [identity_idx]
+        for y in queue:
+            for j, col in enumerate(self._gen_columns):
+                if col[y] not in word:
+                    word[col[y]] = (y, j)
+                    queue.append(col[y])
+        self._word = word
         self._full_mask = (1 << n) - 1
         self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
-        gen_info = self._build()
+        self._reset_caches()
+        gen_info, orbits = self._build()
+        # the caches hold up to n arrays of n entries, and the lattice outlives them
+        self._reset_caches()
         # node order: by (subgroup order, mask); deterministic
         masks = sorted(gen_info, key=lambda m: (m.bit_count(), m))
         self._masks = masks
-        self._mask_pos = {m: i for i, m in enumerate(masks)}
+        pos = self._mask_pos = {m: i for i, m in enumerate(masks)}
         self._gen_idxs = [gen_info[m] for m in masks]
         self._nodes: list[Subgroup | None] = [None] * len(masks)
-
-        orbit_of = [-1] * len(masks)
-        orbits: list[tuple[int, ...]] = []
-        for i, mask in enumerate(masks):
-            if orbit_of[i] >= 0:
-                continue
-            orbit = self._conjugation_orbit(mask)
-            members = tuple(sorted(self._mask_pos[m] for m in orbit))
-            for j in members:
-                orbit_of[j] = len(orbits)
-            orbits.append(members)
-        self.orbit_of = tuple(orbit_of)
-        self.conjugation_orbits = tuple(orbits)
+        self.conjugation_orbits = tuple(
+            sorted(tuple(sorted(pos[m] for m in orbit)) for orbit in orbits)
+        )
+        k_of = {i: k for k, members in enumerate(self.conjugation_orbits) for i in members}
+        self.orbit_of = tuple(k_of[i] for i in range(len(masks)))
 
     # -- construction ------------------------------------------------------
 
-    def _column(self, g_idx: int) -> array:
-        col = self._columns.get(g_idx)
-        if col is None:
-            g = self._elems[g_idx]
-            index = self._index
-            col = array("H", (index[e * g] for e in self._elems))
-            self._columns[g_idx] = col
-        return col
+    def _reset_caches(self) -> None:
+        # _column(x)[e] is the index of e*x, _conj(x)[e] that of x^-1*e*x
+        identity = array("H", range(self._n))
+        self._column = partial(self._compose, {self._identity_idx: identity}, self._gen_columns)
+        self._conj = partial(self._compose, {self._identity_idx: identity}, self._conj_arrays)
+
+    def _compose(self, cache: dict[int, array], gen_arrays: list[array], x: int) -> array:
+        """Array of element x for an action given on G's generators, composed along x's word."""
+        path = []
+        while x not in cache:
+            path.append(x)
+            x = self._word[x][0]
+        arr = cache[x]
+        for y in reversed(path):
+            step = gen_arrays[self._word[y][1]]
+            arr = cache[y] = array("H", map(step.__getitem__, arr))
+        return arr
 
     def _closure_mask(self, gen_idxs: tuple[int, ...]) -> int:
         """Mask of <gens>; returns the full mask early once |H| > n/p_min.
@@ -126,23 +146,31 @@ class SubgroupLattice:
             m ^= low
         return new
 
-    def _conjugation_orbit(self, mask: int) -> list[int]:
-        orbit = {mask}
-        queue = [mask]
-        while queue:
-            cur = queue.pop()
-            for conj in self._conj_arrays:
-                img = self._conjugate_mask(cur, conj)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        return list(orbit)
+    def _outside_seed_leaders(self, rep: int, gens: tuple[int, ...], seed_list, seed_of):
+        """First seed outside ``rep`` of each class of seeds under conjugation by <gens>."""
+        conjs = [self._conj(g) for g in gens]
+        seen = bytearray(len(seed_list))
+        for i, (mask, x) in enumerate(seed_list):
+            if seen[i] or mask & ~rep == 0:
+                continue
+            yield mask, x
+            seen[i] = 1
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for conj in conjs:
+                    j = seed_of[conj[y]]
+                    if not seen[j]:
+                        seen[j] = 1
+                        stack.append(seed_list[j][1])
 
-    def _build(self) -> dict[int, tuple[int, ...]]:
+    def _build(self) -> tuple[dict[int, tuple[int, ...]], list]:
         identity_idx = self._identity_idx
         trivial_mask = 1 << identity_idx
+        full_mask = self._full_mask
 
         # cyclic prime-power seeds, one per distinct subgroup
+        cyclic: dict[int, int] = {}
         seeds: dict[int, int] = {}
         for x, e in enumerate(self._elems):
             if x == identity_idx or not is_prime_power(e.order()):
@@ -153,11 +181,14 @@ class SubgroupLattice:
             while cur != identity_idx:
                 mask |= 1 << cur
                 cur = col[cur]
-            if mask not in seeds:
-                seeds[mask] = x
+            cyclic[x] = mask
+            seeds.setdefault(mask, x)
         seed_list = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        seed_pos = {mask: i for i, (mask, _) in enumerate(seed_list)}
+        seed_of = {x: seed_pos[mask] for x, mask in cyclic.items()}
 
         gen_info: dict[int, tuple[int, ...]] = {trivial_mask: ()}
+        orbits: list = [(trivial_mask,)]
         worklist: deque[int] = deque()
 
         def admit_orbit(mask: int, gen_idxs: tuple[int, ...]) -> None:
@@ -172,30 +203,32 @@ class SubgroupLattice:
                     if img not in orbit:
                         orbit[img] = tuple(arr[g] for g in cur_gens)
                         queue.append(img)
-            for m, gi in orbit.items():
-                gen_info[m] = gi
+            gen_info.update(orbit)
+            orbits.append(orbit)
             worklist.append(min(orbit))
 
         for mask, gen in seed_list:
             if mask not in gen_info:
                 admit_orbit(mask, (gen,))
+        divisors = [d for d in range(2, self._max_proper + 1) if self._n % d == 0]
         while worklist:
             rep = worklist.popleft()
-            rep_gens = gen_info[rep]
-            if rep == self._full_mask:
+            if rep == full_mask:
                 continue
-            for seed_mask, seed_gen in seed_list:
-                if seed_mask & ~rep == 0:
-                    continue
-                joined = self._closure_mask(rep_gens + (seed_gen,))
+            rep_gens = gen_info[rep]
+            order = rep.bit_count()
+            only_full = not any(d % order == 0 and d > order for d in divisors)
+            if only_full and full_mask in gen_info:
+                continue
+            leaders = self._outside_seed_leaders(rep, rep_gens, seed_list, seed_of)
+            for _, seed_gen in leaders:
+                gens = rep_gens + (seed_gen,)
+                joined = full_mask if only_full else self._closure_mask(gens)
                 if joined not in gen_info:
-                    admit_orbit(joined, rep_gens + (seed_gen,))
-        if self._full_mask not in gen_info:
-            # cyclic prime-power groups and the trivial group land here
-            gen_info[self._full_mask] = tuple(
-                self._index[g] for g in self.ambient.generators
-            )
-        return gen_info
+                    admit_orbit(joined, gens)
+        # G is generated by its prime-power elements, so some join chain reaches it
+        assert full_mask in gen_info
+        return gen_info, orbits
 
     # -- queries -----------------------------------------------------------
 
@@ -211,24 +244,14 @@ class SubgroupLattice:
         if sub is None:
             gens = [self._elems[g] for g in self._gen_idxs[i]]
             sub = Subgroup(self.ambient, gens)
-            # guard against a generating set that undershoots the node
-            if sub.order != self._masks[i].bit_count():
-                sub = subgroup_from_elements(self.ambient, self._mask_elements(i))
+            # conjugated generators generate the conjugate, joins their closure
+            assert sub.order == self._masks[i].bit_count()
             self._nodes[i] = sub
         return sub
 
     @property
     def nodes(self) -> list[Subgroup]:
         return [self.node(i) for i in range(len(self._masks))]
-
-    def _mask_elements(self, i: int):
-        mask = self._masks[i]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self._elems[low.bit_length() - 1])
-            mask ^= low
-        return out
 
     def includes(self, i: int, j: int) -> bool:
         """True when node i contains node j."""
@@ -249,14 +272,22 @@ class SubgroupLattice:
             m ^= low
         return subgroup_from_elements(self.ambient, elems)
 
+    @staticmethod
+    def _maximal(masks: list[int]) -> list[int]:
+        """The masks contained in no other one, for masks in node order.
+
+        Only a later, larger mask can contain a mask, and one that does lies
+        in a maximal one; so a descending sweep tests each mask against the
+        maximal masks found so far.
+        """
+        found: list[int] = []
+        for m in reversed(masks):
+            if all(m & ~other for other in found):
+                found.append(m)
+        return found[::-1]
+
     def maximal_masks(self) -> list[int]:
-        full = self._full_mask
-        proper = [m for m in self._masks if m != full]
-        return [
-            m
-            for m in proper
-            if not any(other != m and m & ~other == 0 for other in proper)
-        ]
+        return self._maximal([m for m in self._masks if m != self._full_mask])
 
     def maximal_subgroups(self) -> list[Subgroup]:
         """Proper subgroups maximal under inclusion."""
@@ -281,12 +312,7 @@ class SubgroupLattice:
 
     def class_maximal_masks(self, X: "GroupClass") -> list[int]:
         member = self.class_membership(X)
-        member_masks = [self._masks[i] for i in range(len(self._masks)) if member[i]]
-        return [
-            m
-            for m in member_masks
-            if not any(other != m and m & ~other == 0 for other in member_masks)
-        ]
+        return self._maximal([m for m, inside in zip(self._masks, member) if inside])
 
     def class_maximal_subgroups(self, X: "GroupClass") -> list[Subgroup]:
         """Subgroups in X contained in no strictly larger X-subgroup."""
@@ -296,7 +322,8 @@ class SubgroupLattice:
 def all_subgroups(G: PermGroup, limits: Limits | None = None) -> SubgroupLattice:
     """Enumerate every subgroup of G (|G| capped by the lattice bound)."""
     cached = G._cache.get("lattice")
-    if cached is None:
+    # over the bound, a cached lattice is not returned: building one raises
+    if cached is None or G.order > resolve(limits).lattice:
         cached = G._cache["lattice"] = SubgroupLattice(G, limits)
     return cached
 

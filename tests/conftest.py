@@ -3,16 +3,24 @@
 The oracles here deliberately avoid the stabilizer chain and the lattice
 join machinery: closure is plain breadth-first multiplication, subgroup
 enumeration is add-one-element closure, nilpotency is the normal-Sylow
-criterion.  Expected values asserted in the tests were computed with these
+criterion, and ``naive_lattice`` is the lattice join loop rebuilt without
+its shortcuts.  Expected values asserted in the tests were computed with these
 oracles and then frozen.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import settings
 
 import permgroups as pg
 from permgroups.perms import Permutation
+
+# the same examples on every run, and no per-example deadline on a slow machine
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def closure_elements(degree: int, gens) -> frozenset[Permutation]:
@@ -56,6 +64,104 @@ def brute_subgroups(G: pg.PermGroup) -> set[frozenset[Permutation]]:
                     new.append(J)
         frontier = new
     return known
+
+
+def naive_lattice(G: pg.PermGroup):
+    """The lattice join loop without shortcuts, as a slow oracle.
+
+    Every orbit representative is joined with every cyclic prime-power seed
+    it does not contain, columns are permutation products, closures run to
+    the end and conjugation orbits are found afresh.  Returns the masks, the
+    generator index tuples and the orbits in ``SubgroupLattice`` node order,
+    plus the number of joins computed.
+    """
+    elems = G.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    identity = index[Permutation.identity(G.degree)]
+    full = (1 << n) - 1
+    columns: dict[int, list[int]] = {}
+
+    def column(x):
+        if x not in columns:
+            columns[x] = [index[e * elems[x]] for e in elems]
+        return columns[x]
+
+    def closure(gens):
+        cols = [column(g) for g in gens]
+        known = {identity}
+        frontier = [identity]
+        while frontier:
+            frontier = list(dict.fromkeys(
+                c[x] for x in frontier for c in cols if c[x] not in known
+            ))
+            known.update(frontier)
+        return sum(1 << x for x in known)
+
+    conj = [[index[g.inverse() * e * g] for e in elems] for g in G.generators]
+
+    def conjugate(mask, arr):
+        return sum(1 << arr[x] for x in range(n) if mask >> x & 1)
+
+    seeds: dict[int, int] = {}
+    for x, e in enumerate(elems):
+        o = e.order()
+        if o > 1 and _is_power_of(o, min(p for p in range(2, o + 1) if o % p == 0)):
+            seeds.setdefault(closure((x,)), x)
+    seed_list = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+
+    gen_info = {1 << identity: ()}
+    worklist: deque[int] = deque()
+
+    def admit(mask, gens):
+        orbit = {mask: gens}
+        stack = [mask]
+        while stack:
+            cur = stack.pop()
+            for arr in conj:
+                img = conjugate(cur, arr)
+                if img not in orbit:
+                    orbit[img] = tuple(arr[g] for g in orbit[cur])
+                    stack.append(img)
+        gen_info.update(orbit)
+        worklist.append(min(orbit))
+
+    for mask, gen in seed_list:
+        if mask not in gen_info:
+            admit(mask, (gen,))
+    joins = 0
+    while worklist:
+        rep = worklist.popleft()
+        if rep == full:
+            continue
+        for seed_mask, seed_gen in seed_list:
+            if seed_mask & ~rep:
+                joins += 1
+                joined = closure(gen_info[rep] + (seed_gen,))
+                if joined not in gen_info:
+                    admit(joined, gen_info[rep] + (seed_gen,))
+    if full not in gen_info:
+        gen_info[full] = tuple(index[g] for g in G.generators)
+
+    masks = sorted(gen_info, key=lambda m: (m.bit_count(), m))
+    pos = {m: i for i, m in enumerate(masks)}
+    orbits = []
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        orbit = {mask}
+        stack = [mask]
+        while stack:
+            cur = stack.pop()
+            for arr in conj:
+                img = conjugate(cur, arr)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        seen |= orbit
+        orbits.append(tuple(sorted(pos[m] for m in orbit)))
+    return masks, [gen_info[m] for m in masks], tuple(orbits), joins
 
 
 def nilpotent_oracle(G: pg.PermGroup) -> bool:

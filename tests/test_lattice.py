@@ -1,11 +1,13 @@
 """Subgroup lattice enumeration, maximal subgroups, X-maximal subgroups."""
 
+from array import array
+
 import pytest
 
 import permgroups as pg
 from permgroups.errors import ResourceLimitError
 
-from conftest import brute_subgroups
+from conftest import brute_subgroups, naive_lattice
 
 
 def test_all_subgroups_counts():
@@ -41,6 +43,50 @@ def test_lattice_bound_error():
     with pytest.raises(ResourceLimitError) as err:
         pg.SubgroupLattice(G, pg.Limits(lattice=100))
     assert "100" in str(err.value)
+
+
+def test_lattice_cache_honours_limits():
+    G = pg.symmetric(4)
+    assert pg.all_subgroups(G).node_count() == 30
+    with pytest.raises(ResourceLimitError) as err:
+        pg.all_subgroups(G, pg.Limits(lattice=10))
+    assert "10" in str(err.value)
+
+
+_DP = pg.direct_product
+
+
+@pytest.mark.parametrize(
+    "G",
+    [pg.symmetric(4), pg.dihedral(12), _DP(pg.symmetric(3), pg.symmetric(3)),
+     _DP(pg.symmetric(4), pg.cyclic(2)), _DP(pg.dihedral(8), pg.symmetric(3)),
+     pg.symmetric(5), _DP(pg.dihedral(8), pg.dihedral(8))],
+    ids=lambda g: g.name,
+)
+def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
+    # the generator tuples are printed as int_generators, so they must match too
+    masks, gen_idxs, orbits, naive_joins = naive_lattice(G)
+    joins = []
+    closure = pg.SubgroupLattice._closure_mask
+    monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask",
+                        lambda self, gens: joins.append(gens) or closure(self, gens))
+    lattice = pg.SubgroupLattice(G)
+    assert lattice._masks == masks
+    assert lattice._gen_idxs == gen_idxs
+    assert lattice.conjugation_orbits == orbits
+    assert all(i in orbits[k] for i, k in enumerate(lattice.orbit_of))
+    assert len(joins) < naive_joins
+
+
+def test_word_arrays_match_products():
+    G = pg.alternating(5)
+    lattice = pg.SubgroupLattice(G)
+    elems = G.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    for x, g in enumerate(elems):
+        assert lattice._column(x) == array("H", (index[e * g] for e in elems))
+        g_inv = g.inverse()
+        assert lattice._conj(x) == array("H", (index[g_inv * e * g] for e in elems))
 
 
 def test_maximal_subgroups_s4():
