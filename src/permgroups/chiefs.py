@@ -4,16 +4,20 @@ with their conjugation action, and the factor semidirect product.
 A chief factor H/K of G is realized on the cosets of K inside H (on H's own
 elements when K is trivial).  The conjugation action of G permutes those
 cosets by automorphisms; its kernel is the centralizer C_G(H/K), and the
-preimage of the inner automorphisms is exactly H * C_G(H/K).
+preimage of the inner automorphisms is exactly H * C_G(H/K).  The kernel is
+found by point stabilizers of G's generators glued to that action, never by
+testing every element of G.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .groups import (
     PermGroup,
+    Quotient,
     Subgroup,
     join_subgroups,
     quotient_group,
@@ -37,42 +41,13 @@ class ChiefFactor:
 
         if lower.is_trivial():
             # Cosets of 1 are the elements of H; use H itself as the factor.
-            cosets = upper.elements(lim.enumeration)
-            self.cosets: tuple[Permutation, ...] = cosets
-            self._coset_of = {e.images: i for i, e in enumerate(cosets)}
+            self.cosets: tuple[Permutation, ...] = upper.elements(lim.enumeration)
+            self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
             self.factor: PermGroup = upper
             self._regular = False
         else:
-            kernel_elems = lower.elements(lim.enumeration)
-            upper.elements(lim.enumeration)  # bound check before coset work
-            coset_of: dict[tuple, int] = {}
-            reps: list[Permutation] = []
-
-            def register(rep: Permutation) -> int:
-                idx = len(reps)
-                reps.append(rep)
-                for k in kernel_elems:
-                    coset_of[(k * rep).images] = idx
-                return idx
-
-            register(Permutation.identity(ambient.degree))
-            queue = [reps[0]]
-            while queue:
-                rep = queue.pop(0)
-                for h in upper.generators:
-                    t = rep * h
-                    if t.images not in coset_of:
-                        register(t)
-                        queue.append(t)
-            self.cosets = tuple(reps)
-            self._coset_of = coset_of
-            count = len(reps)
-            fgens = []
-            for h in upper.generators:
-                fgens.append(
-                    Permutation._unchecked(tuple(coset_of[(r * h).images] for r in reps))
-                )
-            self.factor = PermGroup(count, fgens)
+            Q = Quotient(upper, lower, lim)
+            self.cosets, self._coset_of, self.factor = Q.reps, Q._coset_of, Q.group
             self._regular = True
 
         # action of G's generators on the cosets, by conjugation
@@ -96,18 +71,55 @@ class ChiefFactor:
         )
 
     def _compute_centralizer(self, lim: Limits) -> Subgroup:
-        # g centralizes H/K iff conjugation by g fixes the coset of every
-        # generator of H (generator cosets generate the factor).
-        gen_cosets = [
-            (h, self.factor_coset_of_element(h)) for h in self.upper.generators
+        """C_G(H/K), the kernel of G's conjugation action on the cosets.
+
+        Each generator g of G is glued to its coset action as one permutation
+        on degree + m points; the first degree points carry g, so the glued
+        group is G.  The kernel fixes the cosets of H's generators (they
+        generate H/K), so these points are stabilized in turn by the Schreier
+        generators u * s * u'^-1 of their orbits that the kept ones' chain
+        misses.  subgroup_from_elements reads only the kernel's element set,
+        so the generators are those of testing every g in G (the test oracle).
+        """
+        G = self.ambient
+        n = G.degree
+        ident = Permutation.identity(n + len(self.cosets))
+        gens = [
+            Permutation._unchecked(g.images + tuple(n + c for c in self.action[g].images))
+            for g in G.generators
         ]
-        coset_of = self._coset_of
-        passing = []
-        for g in self.ambient.elements(lim.enumeration):
-            g_inv = g.inverse()
-            if all(coset_of[(g_inv * h * g).images] == c for h, c in gen_cosets):
-                passing.append(g)
-        return subgroup_from_elements(self.ambient, passing)
+        chain = None  # until a coset point moves, the kernel is G itself
+        for h in self.upper.generators:
+            point = n + self.factor_coset_of_element(h)
+            if all(s.images[point] == point for s in gens):
+                continue
+            # orbit of the coset point, with transversal pairs (u, u^-1)
+            trans = {point: (ident, ident)}
+            queue = [point]
+            for beta in queue:
+                u = trans[beta][0]
+                for s in gens:
+                    gamma = s.images[beta]
+                    if gamma not in trans:
+                        v = u * s
+                        trans[gamma] = (v, v.inverse())
+                        queue.append(gamma)
+            # its stabilizer, by the Schreier generators the kept ones miss
+            chain = StabilizerChain(n, ())
+            kept = []
+            for beta in queue:
+                u = trans[beta][0]
+                for s in gens:
+                    schreier = u * s * trans[s.images[beta]][1]
+                    head = Permutation._unchecked(schreier.images[:n])
+                    if head.is_identity() or chain.contains(head):
+                        continue
+                    kept.append(schreier)
+                    chain._add(head)
+            gens = kept
+        heads = [Permutation._unchecked(s.images[:n]) for s in gens]
+        kernel = G if chain is None else PermGroup(n, heads)
+        return subgroup_from_elements(G, kernel.elements(lim.enumeration))
 
     def factor_element(self, coset_index: int) -> Permutation:
         """The factor-group element corresponding to a coset index."""
@@ -161,21 +173,18 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
         G._cache["min_normals"] = ()
         return []
     candidates: list[Subgroup] = []
-    seen: set[frozenset] = set()
     for cls in G.conjugacy_classes(lim.enumeration):
         rep = cls[0]
         if rep.is_identity() or not is_prime(rep.order()):
             continue
         N = subgroup_from_elements(G, cls)  # <class of rep> = normal closure
-        key = N.element_set(lim.enumeration)
-        if key not in seen:
-            seen.add(key)
+        # N repeats a candidate iff one of its order holds rep (both are normal)
+        if not any(c.order == N.order and c.contains(rep) for c in candidates):
             candidates.append(N)
     candidates.sort(key=lambda s: s.order)
     minimal: list[Subgroup] = []
     for cand in candidates:
-        cset = cand.element_set()
-        if not any(kept.element_set() <= cset for kept in minimal):
+        if not any(all(cand.contains(g) for g in kept.generators) for kept in minimal):
             minimal.append(cand)
     minimal.sort(key=_encoding)
     G._cache["min_normals"] = tuple(minimal)

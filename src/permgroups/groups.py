@@ -75,28 +75,29 @@ class PermGroup:
         return val
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
-        """All elements, sorted by image tuple.  Guarded by the enumeration bound."""
+        """All elements, sorted by image tuple; every call checks the enumeration bound."""
+        bound = resolve(None).enumeration if limit is None else limit
+        if self.order > bound:
+            raise ResourceLimitError(
+                f"group order {self.order} exceeds enumeration bound {bound}"
+            )
         elems = self._cache.get("elements")
         if elems is None:
-            bound = resolve(None).enumeration if limit is None else limit
-            if self.order > bound:
-                raise ResourceLimitError(
-                    f"group order {self.order} exceeds enumeration bound {bound}"
-                )
             elems = self._cache["elements"] = tuple(sorted(self.chain.elements(), key=_IMAGES))
         return elems
 
     def element_set(self, limit: int | None = None) -> frozenset[Permutation]:
+        elems = self.elements(limit)  # the bound check, also when cached
         val = self._cache.get("element_set")
         if val is None:
-            val = self._cache["element_set"] = frozenset(self.elements(limit))
+            val = self._cache["element_set"] = frozenset(elems)
         return val
 
     def conjugacy_classes(self, limit: int | None = None) -> tuple[tuple[Permutation, ...], ...]:
         """Conjugacy classes as sorted tuples, ordered by least member."""
+        elems = self.elements(limit)  # the bound check, also when cached
         val = self._cache.get("classes")
         if val is None:
-            elems = self.elements(limit)
             conj = [(g.inverse(), g) for g in self.generators]
             seen: set[Permutation] = set()
             classes = []

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the stabilizer chain and the lattice
 join machinery: closure is plain breadth-first multiplication, subgroup
 enumeration is add-one-element closure, nilpotency is the normal-Sylow
-criterion, and ``naive_lattice`` is the lattice join loop rebuilt without
-its shortcuts.  Expected values asserted in the tests were computed with these
+criterion, ``naive_lattice`` is the lattice join loop rebuilt without
+its shortcuts, ``naive_factor_centralizer`` tests every element of G and
+``naive_minimal_normal_subgroups`` compares full element sets.  Expected values asserted in the tests were computed with these
 oracles and then frozen.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import settings
 
 import permgroups as pg
 from permgroups.perms import Permutation
+from permgroups.primes import is_prime
 
 # the same examples on every run, and no per-example deadline on a slow machine
 settings.register_profile("reproducible", derandomize=True, deadline=None)
@@ -162,6 +164,51 @@ def naive_lattice(G: pg.PermGroup):
         seen |= orbit
         orbits.append(tuple(sorted(pos[m] for m in orbit)))
     return masks, [gen_info[m] for m in masks], tuple(orbits), joins
+
+
+def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset]:
+    """C_G(H/K) by testing every g in G, with the passing element set.
+
+    g centralizes H/K iff conjugation by g fixes the coset of every generator
+    of H (generator cosets generate the factor).
+    """
+    gen_cosets = [(h, cf.factor_coset_of_element(h)) for h in cf.upper.generators]
+    coset_of = cf._coset_of
+    passing = []
+    for g in cf.ambient.elements():
+        g_inv = g.inverse()
+        if all(coset_of[(g_inv * h * g).images] == c for h, c in gen_cosets):
+            passing.append(g)
+    return pg.subgroup_from_elements(cf.ambient, passing), frozenset(passing)
+
+
+def naive_minimal_normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:
+    """Minimal normal subgroups compared by their full element sets.
+
+    Normal closures of prime-order classes, deduplicated by element set, the
+    minimal ones by set inclusion, sorted by sorted-element encoding.  Reads
+    and writes no cache of G.
+    """
+    if G.order == 1:
+        return []
+    candidates: list[pg.Subgroup] = []
+    seen: set[frozenset] = set()
+    for cls in G.conjugacy_classes():
+        rep = cls[0]
+        if rep.is_identity() or not is_prime(rep.order()):
+            continue
+        N = pg.subgroup_from_elements(G, cls)
+        key = frozenset(closure_elements(G.degree, N.generators))
+        if key not in seen:
+            seen.add(key)
+            candidates.append((key, N))
+    candidates.sort(key=lambda kn: len(kn[0]))
+    minimal = []
+    for key, N in candidates:
+        if not any(kept <= key for kept, _ in minimal):
+            minimal.append((key, N))
+    minimal.sort(key=lambda kn: sorted(p.images for p in kn[0]))
+    return [N for _, N in minimal]
 
 
 def nilpotent_oracle(G: pg.PermGroup) -> bool:

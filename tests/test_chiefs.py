@@ -7,7 +7,7 @@ import permgroups as pg
 from permgroups.errors import PreconditionError
 from permgroups.perms import parse_permutation
 
-from conftest import element_orders
+from conftest import element_orders, naive_factor_centralizer, naive_minimal_normal_subgroups
 
 
 def _v4_in_s4():
@@ -232,3 +232,78 @@ def test_degenerate_trivial_group():
     assert pg.chief_series(triv).factors == ()
     assert pg.minimal_normal_subgroups(triv) == []
     assert pg.hypercenter(triv, pg.NILPOTENT).subgroup.order == 1
+
+
+# -- fast paths against their slow oracles --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def remark4_products(standard):
+    """Every factor semidirect product verify_remark4 builds on `standard`."""
+    products = []
+    build = pg.classes.factor_semidirect
+
+    def recording(cf, limits=None):
+        products.append(build(cf, limits))
+        return products[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pg.classes, "factor_semidirect", recording)
+        reports = pg.verify_remark4(standard, collect_timing=False)
+    assert all(r.equal for r in reports)
+    return products
+
+
+def _assert_centralizer_matches_walk(cf):
+    naive, passing = naive_factor_centralizer(cf)
+    assert cf.centralizer.element_set() == passing
+    assert cf.centralizer.generators == naive.generators
+
+
+def test_factor_centralizer_matches_element_walk_standard(standard):
+    factors = 0
+    for G in standard:
+        for series in (pg.chief_series(G), pg.chief_series(G, reverse_tiebreak=True)):
+            for cf in series.factors:
+                _assert_centralizer_matches_walk(cf)
+                factors += 1
+    assert factors >= 150
+
+
+def test_factor_centralizer_matches_element_walk_semidirect(remark4_products):
+    assert len(remark4_products) == 65
+    assert sum(P.order for P in remark4_products) == 21884
+    for P in remark4_products:
+        for cf in pg.chief_series(P).factors:
+            _assert_centralizer_matches_walk(cf)
+
+
+def test_factor_centralizer_named_cases():
+    Q8 = pg.quaternion8()
+    central = pg.chief_factor(Q8, Q8.trivial_subgroup(), pg.center(Q8))
+    S5 = pg.symmetric(5)
+    A5 = S5.subgroup(pg.alternating(5).generators)
+    faithful = pg.chief_factor(S5, S5.trivial_subgroup(), A5)
+    S4, V4 = _v4_in_s4()
+    intermediate = pg.chief_factor(S4, S4.trivial_subgroup(), V4)
+    for cf, order in ((central, 8), (faithful, 1), (intermediate, 4)):
+        assert cf.centralizer.order == order
+        _assert_centralizer_matches_walk(cf)
+
+
+def _assert_minimal_normals_match(G):
+    fast = pg.minimal_normal_subgroups(G)
+    slow = naive_minimal_normal_subgroups(G)
+    assert [N.generators for N in fast] == [N.generators for N in slow]
+
+
+def test_minimal_normal_subgroups_match_element_sets_standard(standard):
+    for G in standard:
+        _assert_minimal_normals_match(G)
+        for K in pg.chief_series(G).terms[1:-1]:
+            _assert_minimal_normals_match(pg.quotient_group(G, K).group)
+
+
+def test_minimal_normal_subgroups_match_element_sets_semidirect(remark4_products):
+    for P in remark4_products:
+        _assert_minimal_normals_match(P)

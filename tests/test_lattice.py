@@ -53,6 +53,17 @@ def test_lattice_cache_honours_limits():
     assert "10" in str(err.value)
 
 
+def test_element_caches_honour_limits():
+    G = pg.symmetric(5)
+    assert len(G.elements()) == 120
+    assert len(G.element_set()) == 120
+    assert len(G.conjugacy_classes()) == 7
+    for cached in (G.elements, G.element_set, G.conjugacy_classes):
+        with pytest.raises(ResourceLimitError) as err:
+            cached(10)
+        assert "10" in str(err.value)
+
+
 _DP = pg.direct_product
 
 
