@@ -121,17 +121,6 @@ class ChiefFactor:
         kernel = G if chain is None else PermGroup(n, heads)
         return subgroup_from_elements(G, kernel.elements(lim.enumeration))
 
-    def factor_element(self, coset_index: int) -> Permutation:
-        """The factor-group element corresponding to a coset index."""
-        if not self._regular:
-            return self.cosets[coset_index]
-        # regular action: the translation sending the identity coset there
-        rep = self.cosets[coset_index]
-        coset_of = self._coset_of
-        return Permutation._unchecked(
-            tuple(coset_of[(r * rep).images] for r in self.cosets)
-        )
-
     def is_central(self) -> bool:
         return self.centralizer.order == self.ambient.order
 

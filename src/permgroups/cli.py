@@ -1,7 +1,10 @@
 """Command-line frontend: parse group files, build corpora, run suites.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error,
-3 resource bound exceeded.
+3 resource bound exceeded (3 wins over 1 in a suite), 141 stdout closed by
+its reader (128 + SIGPIPE, as a shell reports a process the signal ended).
+Output is flushed as it is written, so a long run shows each group's
+record as soon as that group is done.
 """
 
 from __future__ import annotations
@@ -9,9 +12,11 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -28,12 +33,13 @@ from .corpus import builtin_corpus
 from .errors import InputError, ResourceLimitError, VerificationError
 from .groups import PermGroup, center
 from .hypercenter import (
-    compare_nca,
+    baer_sides,
+    corollary_sides,
     hypercenter,
     intersection_of_class_maximal,
-    verify_baer,
-    verify_remark4,
-    verify_theorem1,
+    nca_sides,
+    remark4_sides,
+    run_suite,
 )
 from .limits import check_degree
 from .named import CONSTRUCTOR_DEGREES, CONSTRUCTORS
@@ -164,6 +170,7 @@ def _resolve_groups(config: CliConfig) -> list[PermGroup]:
 
 def _emit(out: TextIO, line: str) -> None:
     out.write(line + "\n")
+    out.flush()
 
 
 def _info(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
@@ -182,17 +189,25 @@ def _info(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
     return 0
 
 
-def _hypercenter_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
+# per-group subgroup commands: (record field prefix, the subgroup of G for X)
+SUBGROUP_COMMANDS = {
+    "hypercenter": ("z", lambda G, X: hypercenter(G, X).subgroup),
+    "intersection": ("int", intersection_of_class_maximal),
+}
+
+
+def _subgroup_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
+    side, compute = SUBGROUP_COMMANDS[config.command]
     X = class_by_name(config.class_selector)
     for i, G in enumerate(groups):
         started = time.perf_counter()
-        result = hypercenter(G, X)
+        sub = compute(G, X)
         record = {
             "group_id": G.name or f"G{i}",
             "order": G.order,
             "class": X.name,
-            "z_order": result.subgroup.order,
-            "z_generators": [format_permutation(g) for g in result.subgroup.generators],
+            f"{side}_order": sub.order,
+            f"{side}_generators": [format_permutation(g) for g in sub.generators],
         }
         if config.timings:
             record["millis"] = (time.perf_counter() - started) * 1000.0
@@ -200,45 +215,39 @@ def _hypercenter_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO
     return 0
 
 
-def _intersection_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
-    X = class_by_name(config.class_selector)
-    for i, G in enumerate(groups):
-        started = time.perf_counter()
-        Int = intersection_of_class_maximal(G, X)
-        record = {
-            "group_id": G.name or f"G{i}",
-            "order": G.order,
-            "class": X.name,
-            "int_order": Int.order,
-            "int_generators": [format_permutation(g) for g in Int.generators],
-        }
-        if config.timings:
-            record["millis"] = (time.perf_counter() - started) * 1000.0
-        _emit(out, json.dumps(record, sort_keys=True))
-    return 0
+# suite commands: (class name, sides, whether unequal sides fail the run)
+SUITES = {
+    "verify-baer": (NILPOTENT.name, baer_sides, True),
+    "verify-corollary": (QUASINILPOTENT.name, corollary_sides(NILPOTENT), True),
+    "verify-remark4": (QUASINILPOTENT.name, remark4_sides, True),
+    "compare-nca": (NCA.name, nca_sides, False),
+}
 
 
 def _report_suite(reports, config: CliConfig, out: TextIO, assert_equal: bool) -> int:
-    status = 0
+    """Write each report as it arrives; then name the first resource error
+    (exit 3) or, when equality is asserted, the first unequal group (exit 1)."""
+    first_error = first_unequal = None
     for report in reports:
         _emit(out, report.to_json(include_timing=config.timings))
-    for report in reports:
         if report.error is not None:
-            print(f"resource bound hit for {report.group_id}: {report.error}",
-                  file=sys.stderr)
-            return 3
-    if assert_equal:
-        for report in reports:
-            if not report.equal:
-                witness = ", ".join(report.witness) or "(orders differ)"
-                print(
-                    f"verification failed for {report.group_id}: "
-                    f"z_order={report.z_order} int_order={report.int_order} "
-                    f"witness: {witness}",
-                    file=sys.stderr,
-                )
-                return 1
-    return status
+            first_error = first_error or report
+        if not report.equal:
+            first_unequal = first_unequal or report
+    if first_error is not None:
+        print(f"resource bound hit for {first_error.group_id}: {first_error.error}",
+              file=sys.stderr)
+        return 3
+    if assert_equal and first_unequal is not None:
+        witness = ", ".join(first_unequal.witness) or "(orders differ)"
+        print(
+            f"verification failed for {first_unequal.group_id}: "
+            f"z_order={first_unequal.z_order} int_order={first_unequal.int_order} "
+            f"witness: {witness}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def _s_critical_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
@@ -255,44 +264,28 @@ def _s_critical_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO)
 
 
 def run(config: CliConfig) -> int:
+    """Run one command with the config's bounds as the process-wide defaults;
+    the previous defaults are back in place when it returns or raises."""
+    saved = replace(limits_mod.DEFAULT)
     limits_mod.DEFAULT.enumeration = config.enumeration_bound
     limits_mod.DEFAULT.lattice = config.lattice_bound
     limits_mod.DEFAULT.semidirect_degree = config.semidirect_bound
-    groups = _resolve_groups(config)
-    sink = open(config.output, "w") if config.output else sys.stdout
     try:
-        if config.command == "info":
-            return _info(config, groups, sink)
-        if config.command == "hypercenter":
-            return _hypercenter_cmd(config, groups, sink)
-        if config.command == "intersection":
-            return _intersection_cmd(config, groups, sink)
-        if config.command == "verify-baer":
-            return _report_suite(
-                verify_baer(groups, collect_timing=config.timings),
-                config, sink, assert_equal=True,
-            )
-        if config.command == "verify-corollary":
-            return _report_suite(
-                verify_theorem1(groups, NILPOTENT, collect_timing=config.timings),
-                config, sink, assert_equal=True,
-            )
-        if config.command == "verify-remark4":
-            return _report_suite(
-                verify_remark4(groups, collect_timing=config.timings),
-                config, sink, assert_equal=True,
-            )
-        if config.command == "compare-nca":
-            return _report_suite(
-                compare_nca(groups, collect_timing=config.timings),
-                config, sink, assert_equal=False,
-            )
-        if config.command == "s-critical":
-            return _s_critical_cmd(config, groups, sink)
-        raise InputError(f"unknown command {config.command!r}")
+        groups = _resolve_groups(config)
+        with open(config.output, "w") if config.output else nullcontext(sys.stdout) as sink:
+            if config.command in SUITES:
+                class_name, sides, assert_equal = SUITES[config.command]
+                return _report_suite(run_suite(groups, class_name, sides),
+                                     config, sink, assert_equal)
+            if config.command in SUBGROUP_COMMANDS:
+                return _subgroup_cmd(config, groups, sink)
+            if config.command == "info":
+                return _info(config, groups, sink)
+            if config.command == "s-critical":
+                return _s_critical_cmd(config, groups, sink)
+            raise InputError(f"unknown command {config.command!r}")
     finally:
-        if config.output:
-            sink.close()
+        vars(limits_mod.DEFAULT).update(vars(saved))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--class", dest="class_selector", default="N*",
-                       help="class selector: N, Np:<prime>, N*, Nca, abelian, all")
+        if name in ("hypercenter", "intersection", "s-critical"):
+            p.add_argument("--class", dest="class_selector", default="N*",
+                           help="class selector: N, Np:<prime>, N*, Nca, abelian, all")
         p.add_argument("--corpus", default=None,
                        help="builtin corpus name (smoke, standard, extended) "
                             "or path to a JSON corpus spec")
@@ -339,26 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    config = CliConfig(
-        command=ns.command,
-        class_selector=ns.class_selector,
-        corpus=ns.corpus,
-        group_path=ns.group_path,
-        enumeration_bound=ns.enumeration_bound,
-        lattice_bound=ns.lattice_bound,
-        semidirect_bound=ns.semidirect_bound,
-        output=ns.output,
-        timings=ns.timings,
-        emit_generators=getattr(ns, "emit_generators", False),
-        max_order=getattr(ns, "max_order", None),
-    )
+    config = CliConfig(**vars(parser.parse_args(argv)))
     for bound in (config.enumeration_bound, config.lattice_bound, config.semidirect_bound):
         if bound < 1:
             print("bounds must be positive", file=sys.stderr)
             return 2
     try:
         return run(config)
+    except BrokenPipeError:
+        # the reader went away (``| head``); the exit-time flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .chiefs import (
     ChiefFactor,
@@ -204,11 +204,86 @@ def _contains_subgroup(big: PermGroup, small: PermGroup) -> bool:
     return all(big.contains(g) for g in small.generators)
 
 
-def verify_theorem1(
-    corpus: Sequence[PermGroup],
-    F: GroupClass,
+Sides = Callable[[PermGroup, str, Limits | None], tuple[Subgroup, Subgroup, bool]]
+
+
+def run_suite(
+    corpus: Iterable[PermGroup],
+    class_name: str,
+    sides: Sides,
     limits: Limits | None = None,
-    collect_timing: bool = True,
+) -> Iterator[VerificationReport]:
+    """Run one verification suite lazily, one report per corpus group.
+
+    ``sides(G, group_id, limits)`` returns (Z, other side, equal); each report
+    is yielded as soon as its group is done.  A resource error is recorded in
+    the group's report and the run goes on; any other error propagates after
+    the earlier groups' reports have been yielded.
+    """
+    for i, G in enumerate(corpus):
+        gid = _group_id(G, i)
+        started = time.perf_counter()
+        try:
+            Z, other, equal = sides(G, gid, limits)
+        except ResourceLimitError as exc:
+            yield VerificationReport(
+                group_id=gid, order=G.order, class_name=class_name,
+                z_order=None, int_order=None, equal=False, witness=(),
+                z_generators=(), int_generators=(), millis=None, error=str(exc),
+            )
+            continue
+        millis = (time.perf_counter() - started) * 1000.0
+        yield VerificationReport(
+            group_id=gid, order=G.order, class_name=class_name,
+            z_order=Z.order, int_order=other.order, equal=equal,
+            witness=() if equal else _symmetric_difference(Z, other),
+            z_generators=_gen_strings(Z), int_generators=_gen_strings(other),
+            millis=millis,
+        )
+
+
+def corollary_sides(F: GroupClass) -> Sides:
+    """Z_{F*}(G) and Int_{F*}(G); Z <= Int is a proved inclusion, so its
+    failure raises VerificationError."""
+    Fstar = quasi_class(F)
+
+    def sides(G: PermGroup, gid: str, limits: Limits | None):
+        Z = hypercenter(G, Fstar, limits).subgroup
+        Int = intersection_of_class_maximal(G, Fstar, limits)
+        if not _contains_subgroup(Int, Z):
+            raise VerificationError(
+                f"Z_{{{Fstar.name}}} not contained in Int_{{{Fstar.name}}} for {gid}; "
+                f"witness generators {_gen_strings(Z)}"
+            )
+        return Z, Int, Z == Int
+
+    return sides
+
+
+def baer_sides(G: PermGroup, gid: str, limits: Limits | None):
+    """Z_N(G) and Int_N(G), equal when both are the top of the upper central series."""
+    Z = hypercenter(G, NILPOTENT, limits).subgroup
+    Int = intersection_of_class_maximal(G, NILPOTENT, limits)
+    ucs_top = upper_central_series(G, limits)[-1]
+    return Z, Int, Z == Int and Z == ucs_top
+
+
+def remark4_sides(G: PermGroup, gid: str, limits: Limits | None):
+    """Z_{N*}(G) climbed on the semidirect path and the inner-induction hypercenter."""
+    Z = semidirect_hypercenter(G, QUASINILPOTENT, limits)
+    inner = inner_induction_hypercenter(G, limits)
+    return Z, inner, Z == inner
+
+
+def nca_sides(G: PermGroup, gid: str, limits: Limits | None):
+    """Z_{Nca}(G) and Int_{Nca}(G)."""
+    Z = hypercenter(G, NCA, limits).subgroup
+    Int = intersection_of_class_maximal(G, NCA, limits)
+    return Z, Int, Z == Int
+
+
+def verify_theorem1(
+    corpus: Sequence[PermGroup], F: GroupClass, limits: Limits | None = None
 ) -> list[VerificationReport]:
     """Per corpus group: Z_{F*}(G) and Int_{F*}(G), with the equality verdict.
 
@@ -216,83 +291,18 @@ def verify_theorem1(
     contradict a proved inclusion and raises VerificationError.  Per-group
     resource errors are recorded in the report rather than aborting the run.
     """
-    Fstar = quasi_class(F)
-    reports = []
-    for i, G in enumerate(corpus):
-        gid = _group_id(G, i)
-        started = time.perf_counter()
-        try:
-            Z = hypercenter(G, Fstar, limits).subgroup
-            Int = intersection_of_class_maximal(G, Fstar, limits)
-        except ResourceLimitError as exc:
-            reports.append(
-                VerificationReport(
-                    group_id=gid, order=G.order, class_name=Fstar.name,
-                    z_order=None, int_order=None, equal=False, witness=(),
-                    z_generators=(), int_generators=(), millis=None, error=str(exc),
-                )
-            )
-            continue
-        if not _contains_subgroup(Int, Z):
-            raise VerificationError(
-                f"Z_{{{Fstar.name}}} not contained in Int_{{{Fstar.name}}} for {gid}; "
-                f"witness generators {_gen_strings(Z)}"
-            )
-        equal = Z == Int
-        millis = (time.perf_counter() - started) * 1000.0 if collect_timing else None
-        reports.append(
-            VerificationReport(
-                group_id=gid, order=G.order, class_name=Fstar.name,
-                z_order=Z.order, int_order=Int.order, equal=equal,
-                witness=() if equal else _symmetric_difference(Z, Int),
-                z_generators=_gen_strings(Z), int_generators=_gen_strings(Int),
-                millis=millis,
-            )
-        )
-    return reports
+    return list(run_suite(corpus, quasi_class(F).name, corollary_sides(F), limits))
 
 
 def verify_baer(
-    corpus: Sequence[PermGroup],
-    limits: Limits | None = None,
-    collect_timing: bool = True,
+    corpus: Sequence[PermGroup], limits: Limits | None = None
 ) -> list[VerificationReport]:
     """Int_N(G) = Z_N(G) = top of the upper central series, per corpus group."""
-    reports = []
-    for i, G in enumerate(corpus):
-        gid = _group_id(G, i)
-        started = time.perf_counter()
-        try:
-            Z = hypercenter(G, NILPOTENT, limits).subgroup
-            Int = intersection_of_class_maximal(G, NILPOTENT, limits)
-            ucs_top = upper_central_series(G, limits)[-1]
-        except ResourceLimitError as exc:
-            reports.append(
-                VerificationReport(
-                    group_id=gid, order=G.order, class_name=NILPOTENT.name,
-                    z_order=None, int_order=None, equal=False, witness=(),
-                    z_generators=(), int_generators=(), millis=None, error=str(exc),
-                )
-            )
-            continue
-        equal = Z == Int and Z == ucs_top
-        millis = (time.perf_counter() - started) * 1000.0 if collect_timing else None
-        reports.append(
-            VerificationReport(
-                group_id=gid, order=G.order, class_name=NILPOTENT.name,
-                z_order=Z.order, int_order=Int.order, equal=equal,
-                witness=() if equal else _symmetric_difference(Z, Int),
-                z_generators=_gen_strings(Z), int_generators=_gen_strings(Int),
-                millis=millis,
-            )
-        )
-    return reports
+    return list(run_suite(corpus, NILPOTENT.name, baer_sides, limits))
 
 
 def verify_remark4(
-    corpus: Sequence[PermGroup],
-    limits: Limits | None = None,
-    collect_timing: bool = True,
+    corpus: Sequence[PermGroup], limits: Limits | None = None
 ) -> list[VerificationReport]:
     """inner_induction_hypercenter(G) = Z_{N*}(G), per corpus group.
 
@@ -300,71 +310,15 @@ def verify_remark4(
     central test, which is this very criterion.  The int_* report fields
     carry the inner-induction side of the comparison.
     """
-    reports = []
-    for i, G in enumerate(corpus):
-        gid = _group_id(G, i)
-        started = time.perf_counter()
-        try:
-            Z = semidirect_hypercenter(G, QUASINILPOTENT, limits)
-            inner = inner_induction_hypercenter(G, limits)
-        except ResourceLimitError as exc:
-            reports.append(
-                VerificationReport(
-                    group_id=gid, order=G.order, class_name=QUASINILPOTENT.name,
-                    z_order=None, int_order=None, equal=False, witness=(),
-                    z_generators=(), int_generators=(), millis=None, error=str(exc),
-                )
-            )
-            continue
-        equal = Z == inner
-        millis = (time.perf_counter() - started) * 1000.0 if collect_timing else None
-        reports.append(
-            VerificationReport(
-                group_id=gid, order=G.order, class_name=QUASINILPOTENT.name,
-                z_order=Z.order, int_order=inner.order, equal=equal,
-                witness=() if equal else _symmetric_difference(Z, inner),
-                z_generators=_gen_strings(Z), int_generators=_gen_strings(inner),
-                millis=millis,
-            )
-        )
-    return reports
+    return list(run_suite(corpus, QUASINILPOTENT.name, remark4_sides, limits))
 
 
 def compare_nca(
-    corpus: Sequence[PermGroup],
-    limits: Limits | None = None,
-    collect_timing: bool = True,
+    corpus: Sequence[PermGroup], limits: Limits | None = None
 ) -> list[VerificationReport]:
     """Observe Z_{Nca}(G) against Int_{Nca}(G); nothing is asserted.
 
     The two sides can differ (the known separating group is far beyond desk
     scale), so the report records whatever the corpus shows.
     """
-    reports = []
-    for i, G in enumerate(corpus):
-        gid = _group_id(G, i)
-        started = time.perf_counter()
-        try:
-            Z = hypercenter(G, NCA, limits).subgroup
-            Int = intersection_of_class_maximal(G, NCA, limits)
-        except ResourceLimitError as exc:
-            reports.append(
-                VerificationReport(
-                    group_id=gid, order=G.order, class_name=NCA.name,
-                    z_order=None, int_order=None, equal=False, witness=(),
-                    z_generators=(), int_generators=(), millis=None, error=str(exc),
-                )
-            )
-            continue
-        equal = Z == Int
-        millis = (time.perf_counter() - started) * 1000.0 if collect_timing else None
-        reports.append(
-            VerificationReport(
-                group_id=gid, order=G.order, class_name=NCA.name,
-                z_order=Z.order, int_order=Int.order, equal=equal,
-                witness=() if equal else _symmetric_difference(Z, Int),
-                z_generators=_gen_strings(Z), int_generators=_gen_strings(Int),
-                millis=millis,
-            )
-        )
-    return reports
+    return list(run_suite(corpus, NCA.name, nca_sides, limits))

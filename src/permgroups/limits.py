@@ -22,8 +22,8 @@ class Limits:
     semidirect_degree: int = 10_000
 
 
-#: Process-wide defaults.  The CLI overrides these fields in place so that
-#: deeply nested operations observe the same knobs.
+#: Process-wide defaults.  The CLI overrides these fields in place for the
+#: length of one run so that deeply nested operations observe the same knobs.
 DEFAULT = Limits()
 
 

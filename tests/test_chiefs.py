@@ -249,7 +249,7 @@ def remark4_products(standard):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pg.classes, "factor_semidirect", recording)
-        reports = pg.verify_remark4(standard, collect_timing=False)
+        reports = pg.verify_remark4(standard)
     assert all(r.equal for r in reports)
     return products
 

@@ -1,8 +1,11 @@
 """CLI frontend: group files, corpus resolution, commands, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +232,12 @@ def test_report_suite_failure_exit_code(capsys):
     err = capsys.readouterr().err
     assert "verification failed for X" in err
     assert _report_suite([bad], config, sys.stdout, assert_equal=False) == 0
+    # a resource-bound record later in the run still wins over the earlier failure
+    hit = replace(bad, group_id="Y", z_order=None, int_order=None, witness=(),
+                  int_generators=(), error="lattice bound 5")
+    capsys.readouterr()
+    assert _report_suite([bad, hit], config, sys.stdout, assert_equal=True) == 3
+    assert capsys.readouterr().err == "resource bound hit for Y: lattice bound 5\n"
 
 
 def test_cli_output_file(tmp_path):
@@ -242,3 +251,80 @@ def test_cli_output_file(tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 12
     assert all(json.loads(line)["equal"] for line in lines)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "suite", ["verify-corollary", "verify-remark4", "verify-baer", "compare-nca"]
+)
+def test_suite_output_matches_golden(tmp_path, suite):
+    out_path = tmp_path / "report.jsonl"
+    code = run(CliConfig(command=suite, corpus="standard", timings=False,
+                         output=str(out_path)))
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / f"{suite}-standard.jsonl").read_bytes()
+
+
+def test_report_suite_writes_each_record_before_the_next():
+    from permgroups.cli import _report_suite
+    from permgroups.errors import VerificationError
+    from permgroups.hypercenter import VerificationReport
+
+    class CountingSink(io.StringIO):
+        flushes = 0
+
+        def flush(self):
+            self.flushes += 1
+            super().flush()
+
+    first = VerificationReport(
+        group_id="A", order=2, class_name="N*", z_order=2, int_order=2, equal=True,
+        witness=(), z_generators=("(0 1)",), int_generators=("(0 1)",), millis=None,
+    )
+    sink, seen = CountingSink(), []
+
+    def reports():
+        yield first
+        seen.append((sink.getvalue(), sink.flushes))
+        raise VerificationError("second group")
+
+    config = CliConfig(command="verify-corollary", timings=False)
+    with pytest.raises(VerificationError):
+        _report_suite(reports(), config, sink, assert_equal=True)
+    assert seen == [(first.to_json(include_timing=False) + "\n", 1)]
+
+
+def test_cli_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permgroups.cli", "verify-corollary",
+         "--corpus", "standard", "--no-timings"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert json.loads(proc.stdout.readline())["equal"]
+    proc.stdout.close()  # as `| head -1` does; the next record hits a closed pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+
+
+def test_run_restores_default_limits(tmp_path):
+    before = replace(pg.DEFAULT_LIMITS)
+    config = CliConfig(command="info", corpus="smoke", lattice_bound=5,
+                       enumeration_bound=777, output=str(tmp_path / "info.txt"))
+    assert run(config) == 0
+    assert pg.DEFAULT_LIMITS == before
+    with pytest.raises(InputError):
+        run(replace(config, corpus="nonesuch"))
+    assert pg.DEFAULT_LIMITS == before
+
+
+@pytest.mark.parametrize("command", [
+    "info", "verify-corollary", "verify-baer", "verify-remark4", "compare-nca",
+])
+def test_cli_class_only_where_it_is_read(command):
+    code, out, err = _run_cli([command, "--class", "Nca", "--corpus", "smoke"])
+    assert code == 2 and out == ""
+    assert "--class" in err
