@@ -36,7 +36,7 @@ from .chiefs import (
 )
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup, commutator_subgroup, quotient_group
-from .lattice import all_subgroups
+from .lattice import MASK_RULES, all_subgroups
 from .limits import Limits, resolve
 from .primes import is_prime, prime_divisors
 
@@ -217,11 +217,13 @@ def p_groups(p: int) -> GroupClass:
     """The class of p-groups; one object per prime, so class-keyed caches hit."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    return GroupClass(
+    X = GroupClass(
         name=f"Np:{p}",
         membership=lambda G: is_p_group(G, p),
         hereditary=True,
     )
+    MASK_RULES[X] = lambda order, nilpotent: prime_divisors(order) in ([], [p])
+    return X
 
 
 NILPOTENT = GroupClass(
@@ -260,17 +262,31 @@ ALL_GROUPS = GroupClass(
 )
 
 
+def _accept_nilpotent(order: int, nilpotent: bool) -> bool | None:
+    # only central chief factors, so in Nca and in every quasi-F class
+    return True if nilpotent else None
+
+
+# verdicts on lattice nodes' masks (lattice.MASK_RULES); user classes get none
+MASK_RULES[NILPOTENT] = lambda order, nilpotent: nilpotent
+MASK_RULES[QUASINILPOTENT] = MASK_RULES[NCA] = _accept_nilpotent
+MASK_RULES[ALL_GROUPS] = lambda order, nilpotent: True
+
+
 @cache
 def quasi_class(F: GroupClass) -> GroupClass:
     """The class F* of quasi-F groups (N* when F is the nilpotent class);
     one object per F, so class-keyed caches hit across calls."""
     if F is NILPOTENT:
         return QUASINILPOTENT
-    return GroupClass(
+    Fstar = GroupClass(
         name=f"({F.name})*",
         membership=lambda G: is_quasi_F(G, F),
         contains_nilpotent=True,
     )
+    if F.contains_nilpotent:  # otherwise membership raises InputError
+        MASK_RULES[Fstar] = _accept_nilpotent
+    return Fstar
 
 
 def builtin_classes() -> tuple[GroupClass, ...]:
@@ -306,6 +322,7 @@ def s_critical_groups(
         if X.member(G):
             continue
         lattice = all_subgroups(G, limits)
-        if all(X.member(M) for M in lattice.maximal_subgroups()):
+        member = dict(zip(lattice.masks, lattice.class_membership(X)))
+        if all(member[m] for m in lattice.maximal_masks()):
             out.append(G)
     return out

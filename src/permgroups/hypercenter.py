@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chiefs import (
@@ -107,7 +107,7 @@ def _climb(
 
 def hypercenter(G: PermGroup, X: GroupClass, limits: Limits | None = None) -> HypercenterResult:
     """Z_X(G) via the greedy climb over X-central minimal normal subgroups."""
-    key = ("hypercenter", X)
+    key = ("hypercenter", X, astuple(resolve(limits)))
     cached = G._cache.get(key)
     if cached is None:
         Z, trace = _climb(G, lambda cf: is_class_central(cf, X, limits), limits)

@@ -17,6 +17,14 @@ generators along its word, never from permutation products.
 
 Subgroups are identified by their element set, encoded as a bitmask over the
 sorted element list of the ambient group; generator lists are never compared.
+
+Class membership of a node is read off its mask where the class allows.  H is
+nilpotent iff its Sylow subgroups are normal (Robinson 5.2.4), iff it has
+exactly |H|_p p-elements for each prime p; it has at least that many, so the
+test is that the popcounts of H's mask with one p-element mask per prime
+multiply to |H|.  N is decided so, Np:p by |H| alone, all always; N*, Nca and
+every quasi-F class accept nilpotent nodes.  Other verdicts, and all of a
+user-built class's, come from ``X.member`` on the orbit representative.
 """
 
 from __future__ import annotations
@@ -24,16 +32,20 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING
+from math import prod
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup, subgroup_from_elements
 from .limits import Limits, resolve
 from .perms import Permutation
-from .primes import is_prime_power, smallest_prime_factor
+from .primes import is_prime_power, prime_divisors, smallest_prime_factor
 
 if TYPE_CHECKING:
     from .classes import GroupClass
+
+#: built-in class -> rule(order, nilpotent): a node's verdict, or None to ask X
+MASK_RULES: dict[GroupClass, Callable[[int, bool], bool | None]] = {}
 
 
 class SubgroupLattice:
@@ -169,12 +181,15 @@ class SubgroupLattice:
         trivial_mask = 1 << identity_idx
         full_mask = self._full_mask
 
-        # cyclic prime-power seeds, one per distinct subgroup
+        # cyclic prime-power seeds, one per distinct subgroup, and p-element masks
         cyclic: dict[int, int] = {}
         seeds: dict[int, int] = {}
+        pmasks = self._pmasks = dict.fromkeys(prime_divisors(self._n), trivial_mask)
         for x, e in enumerate(self._elems):
-            if x == identity_idx or not is_prime_power(e.order()):
+            order = e.order()
+            if x == identity_idx or not is_prime_power(order):
                 continue
+            pmasks[smallest_prime_factor(order)] |= 1 << x
             mask = trivial_mask
             col = self._column(x)
             cur = x
@@ -300,15 +315,23 @@ class SubgroupLattice:
             mask &= m
         return self.subgroup_from_mask(mask)
 
+    def _is_nilpotent(self, mask: int) -> bool:
+        """H has at least |H|_p p-elements for each p; nilpotent iff exactly."""
+        counts = ((mask & pmask).bit_count() for pmask in self._pmasks.values())
+        return prod(counts) == mask.bit_count()
+
     def class_membership(self, X: "GroupClass") -> list[bool]:
         """Per-node membership verdicts, evaluated once per conjugacy orbit."""
-        verdicts: list[bool | None] = [None] * len(self._masks)
+        rule = MASK_RULES.get(X)
+        verdicts = [False] * len(self._masks)
         for orbit in self.conjugation_orbits:
-            rep = orbit[0]
-            verdict = X.member(self.node(rep))
+            mask = self._masks[orbit[0]]
+            verdict = None if rule is None else rule(mask.bit_count(), self._is_nilpotent(mask))
+            if verdict is None:
+                verdict = X.member(self.node(orbit[0]))
             for i in orbit:
                 verdicts[i] = verdict
-        return [bool(v) for v in verdicts]
+        return verdicts
 
     def class_maximal_masks(self, X: "GroupClass") -> list[int]:
         member = self.class_membership(X)

@@ -189,3 +189,44 @@ def test_inclusion_consistent_with_order():
         for j in range(n):
             if lattice.includes(i, j):
                 assert lattice.node_order(i) % lattice.node_order(j) == 0
+
+
+_MASK_CLASSES = [pg.NILPOTENT, pg.QUASINILPOTENT, pg.NCA, pg.ABELIAN, pg.ALL_GROUPS,
+                 pg.p_groups(2), pg.p_groups(3)]
+
+
+def test_class_membership_matches_member_on_standard(standard):
+    # independent side: is_nilpotent (lower central series) and the other
+    # class predicates, asked of every node's Subgroup
+    for G in standard:
+        lattice = pg.all_subgroups(G)
+        for X in _MASK_CLASSES:
+            fast = lattice.class_membership(X)
+            slow = [X.member(lattice.node(i)) for i in range(lattice.node_count())]
+            assert fast == slow, (G.name, X.name)
+
+
+@pytest.mark.parametrize("X", [pg.NILPOTENT, pg.p_groups(2), pg.ALL_GROUPS],
+                         ids=lambda x: x.name)
+def test_mask_decided_classes_build_no_subgroups(X):
+    lattice = pg.SubgroupLattice(pg.symmetric(4))
+    lattice.class_membership(X)
+    assert lattice._nodes == [None] * lattice.node_count()
+
+
+def test_user_class_membership_called_once_per_orbit():
+    # a user class's flags are not trusted: no nilpotent shortcut
+    calls = []
+    X = pg.GroupClass(name="N", membership=lambda H: calls.append(H) or True,
+                      contains_nilpotent=True, hereditary=True)
+    lattice = pg.SubgroupLattice(pg.dihedral(8))
+    assert all(lattice.class_membership(X))
+    assert len(calls) == len(lattice.conjugation_orbits)
+
+
+def test_quasi_class_shortcut_keeps_input_error():
+    # every subgroup of D8 is nilpotent, and quasi-F still needs F to
+    # contain the nilpotent groups
+    F = pg.GroupClass(name="F", membership=lambda H: True)
+    with pytest.raises(pg.InputError):
+        pg.intersection_of_class_maximal(pg.dihedral(8), pg.quasi_class(F))

@@ -48,3 +48,13 @@ def test_quotient_respects_enumeration_bound():
     tight = pg.Limits(enumeration=100)
     with pytest.raises(ResourceLimitError):
         pg.quotient_group(S6, A6, limits=tight)
+
+
+def test_hypercenter_cache_honours_limits():
+    # one call under two Limits: the cached answer is not served to the tight one
+    S4 = pg.symmetric(4)
+    assert pg.hypercenter(S4, pg.NILPOTENT).subgroup.order == 1
+    with pytest.raises(ResourceLimitError) as err:
+        pg.hypercenter(S4, pg.NILPOTENT, pg.Limits(enumeration=5))
+    assert "5" in str(err.value)
+    assert pg.hypercenter(S4, pg.NILPOTENT).subgroup.order == 1
