@@ -299,17 +299,18 @@ def factor_semidirect(cf: ChiefFactor, limits: Limits | None = None) -> PermGrou
     factor by construction, so the translations of H/K together with the
     action images generate a group of order |H/K| * |G : C_G(H/K)|.
     """
-    cached = cf._cache.get("factor_semidirect")
-    if cached is not None:
-        return cached
     lim = resolve(limits)
     n = cf.factor.order
     quot = cf.ambient.order // cf.centralizer.order
+    # every call checks the bounds, also when the product is cached
     if n > lim.semidirect_degree or n * quot > lim.enumeration:
         raise ResourceLimitError(
             f"factor semidirect product of order {n * quot} on {n} points "
             f"exceeds the configured bounds"
         )
+    cached = cf._cache.get("factor_semidirect")
+    if cached is not None:
+        return cached
     elems = cf.factor.elements(lim.enumeration)
     index = {e: i for i, e in enumerate(elems)}
     # element <-> coset identification (regular action from the identity coset)

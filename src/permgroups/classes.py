@@ -23,7 +23,7 @@ serve one class's verdicts to another class that shares its name.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache
 from typing import Callable, Sequence
 
@@ -63,7 +63,7 @@ class GroupClass:
     user_asserted: bool = False
 
     def member(self, G: PermGroup) -> bool:
-        key = ("class_member", self)
+        key = ("class_member", self, astuple(resolve(None)))
         cached = G._cache.get(key)
         if cached is None:
             cached = G._cache[key] = bool(self.membership(G))
@@ -148,7 +148,7 @@ def is_class_central(cf: ChiefFactor, X: GroupClass, limits: Limits | None = Non
     semidirect product.  When the product exceeds the bounds, the local path
     is the fallback; without one the resource error propagates.
     """
-    key = ("central", X)
+    key = ("central", X, astuple(resolve(limits)))
     cached = cf._cache.get(key)
     if cached is not None:
         return cached

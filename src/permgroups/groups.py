@@ -27,7 +27,10 @@ class PermGroup:
         degree: int,
         generators: Iterable[Permutation] = (),
         name: str | None = None,
+        *,
+        _chain: StabilizerChain | None = None,
     ):
+        # _chain: a chain already grown from exactly these generators, kept as is
         if degree < 1:
             raise InputError("group degree must be at least 1")
         gens: list[Permutation] = []
@@ -46,7 +49,7 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self.chain = StabilizerChain(degree, self.generators)
+        self.chain = StabilizerChain(degree, self.generators) if _chain is None else _chain
         self._cache: dict = {}
 
     # -- basic queries ---------------------------------------------------
@@ -161,12 +164,14 @@ class Subgroup(PermGroup):
         ambient: PermGroup,
         generators: Iterable[Permutation] = (),
         name: str | None = None,
+        *,
+        _chain: StabilizerChain | None = None,
     ):
         generators = tuple(generators)
         for g in generators:
             if not ambient.contains(g):
                 raise InputError(f"generator {g!r} is not a member of the ambient group")
-        super().__init__(ambient.degree, generators, name=name)
+        super().__init__(ambient.degree, generators, name=name, _chain=_chain)
         self.ambient = ambient
 
     def is_normal(self) -> bool:
@@ -208,7 +213,7 @@ def subgroup_from_elements(
             continue
         gens.append(e)
         chain._add(e)
-    return Subgroup(G, gens, name=name)
+    return Subgroup(G, gens, name=name, _chain=chain)
 
 
 def join_subgroups(G: PermGroup, *subs: PermGroup, name: str | None = None) -> Subgroup:
@@ -258,7 +263,7 @@ def normal_closure(G: PermGroup, S: PermGroup) -> Subgroup:
                     # grown in place, as StabilizerChain(degree, gens) would
                     chain._add(c)
                     changed = True
-    return Subgroup(G, gens)
+    return Subgroup(G, gens, _chain=chain)
 
 
 def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> Subgroup:

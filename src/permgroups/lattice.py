@@ -11,9 +11,13 @@ oracle).  Two kinds of join cannot find a new subgroup and are not computed:
 for h in H, <H, s^h> = <H, s>^h = <H, s>, so only the first seed of each
 class under conjugation by H is joined; and when no order strictly between
 |H| and |G| is a multiple of |H| dividing |G| and at most |G|/p, p the least
-prime dividing |G|, Lagrange leaves G as the only join.  An element's right
-multiplication and conjugation arrays are composed from those of G's
-generators along its word, never from permutation products.
+prime dividing |G|, Lagrange leaves G as the only join.  A join <H, s> grows
+by whole right cosets of the orbit representative H (Dimino's algorithm;
+Butler, *Fundamental Algorithms for Permutation Groups*, §6): each coset
+times a generator is inside the union found so far or disjoint from it, so
+one element decides.  An element's right multiplication and conjugation
+arrays are composed from those of G's generators along its word, never from
+permutation products.
 
 Subgroups are identified by their element set, encoded as a bitmask over the
 sorted element list of the ambient group; generator lists are never compared.
@@ -46,6 +50,9 @@ if TYPE_CHECKING:
 
 #: built-in class -> rule(order, nilpotent): a node's verdict, or None to ask X
 MASK_RULES: dict[GroupClass, Callable[[int, bool], bool | None]] = {}
+
+# membership bytes <-> binary digits, for masks (bit x is element x)
+_BITS, _BYTES = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
 
 
 class SubgroupLattice:
@@ -117,37 +124,30 @@ class SubgroupLattice:
             arr = cache[y] = array("H", map(step.__getitem__, arr))
         return arr
 
-    def _closure_mask(self, gen_idxs: tuple[int, ...]) -> int:
-        """Mask of <gens>; returns the full mask early once |H| > n/p_min.
+    def _closure_mask(self, gen_idxs: tuple[int, ...], base: tuple[list[int], bytearray]) -> int:
+        """Mask of <gens>, given H = <gens[:-1]> as ``base`` (its elements and
+        membership bytes); returns the full mask early once |<gens>| > n/p_min.
 
-        In a finite group the submonoid generated by a set already is the
-        generated subgroup, so breadth-first right multiplication by the
-        generators alone suffices.
+        Dimino's closure: a right coset C of H times a generator is again a
+        right coset of H, so it lies inside the union found so far or misses
+        it, and its first element decides which.  In a finite group the
+        submonoid generated by a set already is the generated subgroup, so
+        right multiplication by the generators alone suffices.
         """
         cols = [self._column(g) for g in gen_idxs]
-        member = bytearray(self._n)
-        start = self._identity_idx
-        member[start] = 1
-        out = [start]
-        frontier = [start]
-        count = 1
-        while frontier:
-            new = []
-            for x in frontier:
-                for col in cols:
-                    y = col[x]
-                    if not member[y]:
-                        member[y] = 1
-                        new.append(y)
-            count += len(new)
-            if count > self._max_proper:
-                return self._full_mask
-            out.extend(new)
-            frontier = new
-        mask = 0
-        for x in out:
-            mask |= 1 << x
-        return mask
+        cosets, member = [base[0]], bytearray(base[1])
+        count = len(base[0])
+        for C in cosets:
+            for col in cols:
+                if not member[col[C[0]]]:
+                    count += len(C)
+                    if count > self._max_proper:
+                        return self._full_mask
+                    new = list(map(col.__getitem__, C))
+                    for x in new:
+                        member[x] = 1
+                    cosets.append(new)
+        return int(member[::-1].translate(_BITS), 2)
 
     def _conjugate_mask(self, mask: int, conj: array) -> int:
         new = 0
@@ -235,10 +235,12 @@ class SubgroupLattice:
             only_full = not any(d % order == 0 and d > order for d in divisors)
             if only_full and full_mask in gen_info:
                 continue
+            member = bytearray(format(rep, f"0{self._n}b")[::-1], "ascii").translate(_BYTES)
+            base = ([x for x, b in enumerate(member) if b], member)
             leaders = self._outside_seed_leaders(rep, rep_gens, seed_list, seed_of)
             for _, seed_gen in leaders:
                 gens = rep_gens + (seed_gen,)
-                joined = full_mask if only_full else self._closure_mask(gens)
+                joined = full_mask if only_full else self._closure_mask(gens, base)
                 if joined not in gen_info:
                     admit_orbit(joined, gens)
         # G is generated by its prime-power elements, so some join chain reaches it

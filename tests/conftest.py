@@ -4,7 +4,8 @@ The oracles here deliberately avoid the stabilizer chain and the lattice
 join machinery: closure is plain breadth-first multiplication, subgroup
 enumeration is add-one-element closure, nilpotency is the normal-Sylow
 criterion, ``naive_lattice`` is the lattice join loop rebuilt without
-its shortcuts, ``naive_factor_centralizer`` tests every element of G and
+its shortcuts, ``elementwise_closure_mask`` is a lattice join grown one
+element at a time, ``naive_factor_centralizer`` tests every element of G and
 ``naive_minimal_normal_subgroups`` compares full element sets.  Expected values asserted in the tests were computed with these
 oracles and then frozen.
 """
@@ -66,6 +67,35 @@ def brute_subgroups(G: pg.PermGroup) -> set[frozenset[Permutation]]:
                     new.append(J)
         frontier = new
     return known
+
+
+def elementwise_closure_mask(lattice: pg.SubgroupLattice, gen_idxs) -> int:
+    """Mask of <gens> grown one element at a time from the identity.
+
+    Breadth-first right multiplication by the generators over the lattice's
+    columns, returning the full mask early once more than n/p_min elements
+    are found: the slow reference for ``SubgroupLattice._closure_mask``,
+    which grows by whole cosets.
+    """
+    cols = [lattice._column(g) for g in gen_idxs]
+    member = bytearray(lattice._n)
+    start = lattice._identity_idx
+    member[start] = 1
+    out = [start]
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for col in cols:
+                y = col[x]
+                if not member[y]:
+                    member[y] = 1
+                    new.append(y)
+        if len(out) + len(new) > lattice._max_proper:
+            return lattice._full_mask
+        out.extend(new)
+        frontier = new
+    return sum(1 << x for x in out)
 
 
 def naive_lattice(G: pg.PermGroup):

@@ -242,7 +242,8 @@ def _chain_levels(chain):
                                pg.alternating(5)], ids=lambda G: G.name)
 def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
     # subgroup_from_elements and normal_closure grow one chain with _add; it
-    # must equal the chain built from scratch on the kept generators
+    # must equal the chain built from scratch on the kept generators, and the
+    # returned subgroup keeps it
     from permgroups import groups
     from permgroups.chain import StabilizerChain
 
@@ -270,3 +271,6 @@ def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
         fresh = StabilizerChain(G.degree, H.generators)
         assert _chain_levels(grown) == _chain_levels(fresh)
         assert grown.order() == H.order
+        # the subgroup keeps it, so its base and transversals are the fresh
+        # chain's, and no second chain is built
+        assert H.chain is grown and len(built) == 1

@@ -7,7 +7,7 @@ import pytest
 import permgroups as pg
 from permgroups.errors import ResourceLimitError
 
-from conftest import brute_subgroups, naive_lattice
+from conftest import brute_subgroups, elementwise_closure_mask, naive_lattice
 
 
 def test_all_subgroups_counts():
@@ -80,13 +80,44 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
     joins = []
     closure = pg.SubgroupLattice._closure_mask
     monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask",
-                        lambda self, gens: joins.append(gens) or closure(self, gens))
+                        lambda self, gens, base: joins.append(gens) or closure(self, gens, base))
     lattice = pg.SubgroupLattice(G)
     assert lattice._masks == masks
     assert lattice._gen_idxs == gen_idxs
     assert lattice.conjugation_orbits == orbits
     assert all(i in orbits[k] for i, k in enumerate(lattice.orbit_of))
     assert len(joins) < naive_joins
+
+
+@pytest.mark.parametrize(
+    "G",
+    [pg.symmetric(4), _DP(pg.dihedral(8), pg.symmetric(3)), _DP(pg.dihedral(8), pg.dihedral(8)),
+     # abelian, 38 subgroups; E(2,2)xE(3,2) would skip every join that gives G
+     _DP(pg.cyclic(8), pg.elementary_abelian(2, 2))],
+    ids=lambda g: g.name,
+)
+def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
+    # every join of the build, checked against growing it one element at a time
+    results = []
+    closure = pg.SubgroupLattice._closure_mask
+
+    def checked(self, gens, base):
+        elems, member = base
+        before = bytes(member)
+        # base is H = <gens[:-1]>: its element list and membership bytes
+        assert sum(1 << x for x in elems) == elementwise_closure_mask(self, gens[:-1])
+        assert [x for x, b in enumerate(member) if b] == elems
+        mask = closure(self, gens, base)
+        assert mask == elementwise_closure_mask(self, gens)
+        assert bytes(member) == before
+        results.append(mask)
+        return mask
+
+    monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask", checked)
+    lattice = pg.SubgroupLattice(G)
+    # both the early exit (G itself) and complete proper closures were taken
+    assert lattice._full_mask in results
+    assert any(mask != lattice._full_mask for mask in results)
 
 
 def test_word_arrays_match_products():

@@ -58,3 +58,24 @@ def test_hypercenter_cache_honours_limits():
         pg.hypercenter(S4, pg.NILPOTENT, pg.Limits(enumeration=5))
     assert "5" in str(err.value)
     assert pg.hypercenter(S4, pg.NILPOTENT).subgroup.order == 1
+
+
+def test_class_central_cache_honours_limits():
+    # a verdict cached under the default bounds is not served to a tighter one
+    cf = pg.chief_series(pg.symmetric(5)).factors[0]  # A5, semidirect order 7200
+    assert is_class_central(cf, pg.NCA) is True
+    with pytest.raises(ResourceLimitError):
+        is_class_central(cf, pg.NCA, pg.Limits(enumeration=1000))
+    assert is_class_central(cf, pg.NCA) is True
+
+
+def test_class_member_cache_honours_limits(monkeypatch):
+    # member() reads the process-wide bounds, so its cache is keyed by them
+    calls = []
+    X = pg.GroupClass(name="counted", membership=lambda G: calls.append(G) or True)
+    G = pg.symmetric(3)
+    assert X.member(G) and X.member(G)
+    assert len(calls) == 1
+    monkeypatch.setattr(pg.limits.DEFAULT, "enumeration", 5)
+    assert X.member(G)
+    assert len(calls) == 2
