@@ -1,9 +1,12 @@
-"""Deterministic stabilizer chains (Schreier-Sims construction).
+"""Deterministic stabilizer chains (incremental Schreier-Sims construction).
 
-The construction is fully deterministic: base points are the least moved
-points of the residues that fail sifting, orbits are explored breadth-first
-with generators in a fixed order, and no randomization is used anywhere, so
-the same generator list always yields the same chain.
+Adding a generator extends each level's orbit and transversal in place, and
+sifts only the Schreier generators of (orbit point, generator) pairs not yet
+sifted: transversal entries never change, so a pair once sifted stays sifted
+(Seress, *Permutation Group Algorithms*, §4.2).  Base points are the least
+moved points of the residues that fail sifting, orbits are explored
+breadth-first with generators in a fixed order, and no randomization is used
+anywhere, so the same generator list always yields the same chain.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .perms import Permutation
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "sifted")
 
     def __init__(self, point: int, identity: Permutation):
         self.point = point
@@ -24,6 +27,9 @@ class _Level:
         self.transversal: dict[int, tuple[Permutation, Permutation]] = {
             point: (identity, identity)
         }
+        # generator s -> k: the Schreier generators of s with the first k orbit
+        # points, in transversal order, sift to the identity
+        self.sifted: dict[Permutation, int] = {}
 
 
 class StabilizerChain:
@@ -111,7 +117,9 @@ class StabilizerChain:
             start = restart
 
     def _close(self, i: int) -> int | None:
-        """Rebuild the orbit at level i and sift its Schreier generators.
+        """Extend the orbit at level i in place and sift the Schreier
+        generators not sifted before.  One whose sift fails is not sifted
+        again: it is the installed residue times deeper transversal elements.
 
         Returns the level index at which a residue was installed, or None
         when every Schreier generator sifts to the identity.
@@ -120,25 +128,28 @@ class StabilizerChain:
         gens = []
         for deeper in self.levels[i:]:
             gens.extend(deeper.gens)
-        identity = self._identity
-        trans = {lvl.point: (identity, identity)}
-        queue = [lvl.point]
-        while queue:
-            beta = queue.pop(0)
-            u = trans[beta][0]
+        trans = lvl.transversal
+        orbit = list(trans)
+        for beta in orbit:  # grows while walked: breadth-first
             for s in gens:
                 gamma = s.images[beta]
                 if gamma not in trans:
-                    v = u * s
+                    v = trans[beta][0] * s
                     trans[gamma] = (v, v.inverse())
-                    queue.append(gamma)
-        lvl.transversal = trans
-        for beta in sorted(trans):
-            u = trans[beta][0]
-            for s in gens:
-                w_inv = trans[s.images[beta]][1]
-                schreier = u * s * w_inv
+                    orbit.append(gamma)
+        sifted = lvl.sifted
+        for s in gens:
+            for k in range(sifted.get(s, 0), len(orbit)):
+                beta = orbit[k]
+                schreier = trans[beta][0] * s * trans[s.images[beta]][1]
                 res = self._sift(schreier, i + 1)
                 if res is not None:
+                    sifted[s] = k + 1
                     return self._install(*res)
+            sifted[s] = len(orbit)
         return None
+
+    def forget_sifted(self) -> None:
+        """Drop the record of sifted pairs; a later _add re-sifts them all."""
+        for lvl in self.levels:
+            lvl.sifted = {}

@@ -11,6 +11,7 @@ testing every element of G.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Iterable
 
 from .chain import StabilizerChain
@@ -22,6 +23,7 @@ from .groups import (
     join_subgroups,
     quotient_group,
     subgroup_from_elements,
+    walk_classes,
 )
 from .limits import Limits, resolve
 from .perms import Permutation
@@ -152,21 +154,27 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
     Every minimal normal subgroup is the normal closure of any of its
     nontrivial elements, and contains one of prime order, so the minimal
     members of {<<x>> : x of prime order} are exactly the minimal normal
-    subgroups (one normal closure per conjugacy class suffices).
+    subgroups.  One normal closure per conjugacy class suffices, and only the
+    classes of prime-order elements are walked.  A class meeting a candidate
+    of prime order is skipped: that candidate is generated by any of its
+    nontrivial elements, so it is the class's normal closure.
     """
-    cached = G._cache.get("min_normals")
+    lim = resolve(limits)
+    key = ("min_normals", astuple(lim))
+    cached = G._cache.get(key)
     if cached is not None:
         return list(cached)
-    lim = resolve(limits)
     if G.order == 1:
-        G._cache["min_normals"] = ()
+        G._cache[key] = ()
         return []
     candidates: list[Subgroup] = []
-    for cls in G.conjugacy_classes(lim.enumeration):
+    seen: set[Permutation] = set()
+    elems = G.elements(lim.enumeration)
+    for cls in walk_classes(G, elems, lambda x: is_prime(x.order()), seen):
         rep = cls[0]
-        if rep.is_identity() or not is_prime(rep.order()):
-            continue
         N = subgroup_from_elements(G, cls)  # <class of rep> = normal closure
+        if is_prime(N.order):
+            seen.update(N.elements(lim.enumeration))
         # N repeats a candidate iff one of its order holds rep (both are normal)
         if not any(c.order == N.order and c.contains(rep) for c in candidates):
             candidates.append(N)
@@ -176,7 +184,7 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
         if not any(all(cand.contains(g) for g in kept.generators) for kept in minimal):
             minimal.append(cand)
     minimal.sort(key=_encoding)
-    G._cache["min_normals"] = tuple(minimal)
+    G._cache[key] = tuple(minimal)
     return minimal
 
 
@@ -193,11 +201,11 @@ def chief_series(G: PermGroup, limits: Limits | None = None,
     is by least sorted element-set encoding (greatest when reverse_tiebreak),
     so the construction is deterministic.
     """
-    key = "chief_series_rev" if reverse_tiebreak else "chief_series"
+    lim = resolve(limits)
+    key = ("chief_series_rev" if reverse_tiebreak else "chief_series", astuple(lim))
     cached = G._cache.get(key)
     if cached is not None:
         return cached
-    lim = resolve(limits)
     terms = [G.trivial_subgroup()]
     factors: list[ChiefFactor] = []
     while terms[-1].order < G.order:
@@ -337,10 +345,11 @@ def factor_semidirect(cf: ChiefFactor, limits: Limits | None = None) -> PermGrou
 
 def normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list[Subgroup]:
     """Every normal subgroup of G (join closure of class normal closures)."""
-    cached = G._cache.get("normal_subgroups")
+    lim = resolve(limits)
+    cache_key = ("normal_subgroups", astuple(lim))
+    cached = G._cache.get(cache_key)
     if cached is not None:
         return list(cached)
-    lim = resolve(limits)
     seeds: list[Subgroup] = []
     seen: set[frozenset] = set()
     for cls in G.conjugacy_classes(lim.enumeration):
@@ -368,7 +377,7 @@ def normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list[Subgrou
                 normals[key] = J
                 worklist.append(J)
     out = sorted(normals.values(), key=lambda N: (N.order, _encoding(N)))
-    G._cache["normal_subgroups"] = tuple(out)
+    G._cache[cache_key] = tuple(out)
     return list(out)
 
 

@@ -132,10 +132,10 @@ def is_class_central_local(
 
 
 def _centralizer_quotient(cf: ChiefFactor, limits: Limits | None) -> PermGroup:
-    cached = cf._cache.get("centralizer_quotient")
+    key = ("centralizer_quotient", astuple(resolve(limits)))
+    cached = cf._cache.get(key)
     if cached is None:
-        cached = quotient_group(cf.ambient, cf.centralizer, limits).group
-        cf._cache["centralizer_quotient"] = cached
+        cached = cf._cache[key] = quotient_group(cf.ambient, cf.centralizer, limits).group
     return cached
 
 

@@ -8,7 +8,7 @@ stabilizer chain is built eagerly), so any value can be shared freely.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -50,6 +50,7 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
         self.chain = StabilizerChain(degree, self.generators) if _chain is None else _chain
+        self.chain.forget_sifted()  # the group never grows its chain
         self._cache: dict = {}
 
     # -- basic queries ---------------------------------------------------
@@ -101,24 +102,7 @@ class PermGroup:
         elems = self.elements(limit)  # the bound check, also when cached
         val = self._cache.get("classes")
         if val is None:
-            conj = [(g.inverse(), g) for g in self.generators]
-            seen: set[Permutation] = set()
-            classes = []
-            for x in elems:
-                if x in seen:
-                    continue
-                orbit = {x}
-                queue = [x]
-                while queue:
-                    y = queue.pop()
-                    for g_inv, g in conj:
-                        z = g_inv * y * g
-                        if z not in orbit:
-                            orbit.add(z)
-                            queue.append(z)
-                seen |= orbit
-                classes.append(tuple(sorted(orbit, key=_IMAGES)))
-            val = self._cache["classes"] = tuple(classes)
+            val = self._cache["classes"] = tuple(walk_classes(self, elems, lambda x: True, set()))
         return val
 
     def self_subgroup(self) -> "Subgroup":
@@ -185,6 +169,35 @@ class Subgroup(PermGroup):
             )
             self._cache["normal"] = val
         return val
+
+
+def walk_classes(
+    G: PermGroup,
+    elems: Iterable[Permutation],
+    keep: Callable[[Permutation], bool],
+    seen: set[Permutation],
+) -> Iterator[tuple[Permutation, ...]]:
+    """The conjugacy classes of G met walking ``elems`` (G's sorted elements),
+    each as a sorted tuple when its least member is reached.
+
+    Only the classes of elements passing ``keep`` are built.  Elements in
+    ``seen`` start no class; the caller may add to it between classes.
+    """
+    conj = [(g.inverse(), g) for g in G.generators]
+    for x in elems:
+        if x in seen or not keep(x):
+            continue
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g_inv, g in conj:
+                z = g_inv * y * g
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        yield tuple(sorted(orbit, key=_IMAGES))
 
 
 # -- subgroup helpers ------------------------------------------------------

@@ -7,16 +7,18 @@ representative H per conjugacy orbit and the orbits are then closed
 explicitly; since the seed family is conjugation-closed, every join chain
 from cyclic seeds survives conjugation and the full lattice is reached (the
 tests cross-check this against an independent add-one-element closure
-oracle).  Two kinds of join cannot find a new subgroup and are not computed:
-for h in H, <H, s^h> = <H, s>^h = <H, s>, so only the first seed of each
-class under conjugation by H is joined; and when no order strictly between
+oracle).  Three kinds of join cannot find a new subgroup and are not
+computed: for h in H, <H, s^h> = <H, s>^h = <H, s>, so only the first seed of
+each class under conjugation by H is joined; when no order strictly between
 |H| and |G| is a multiple of |H| dividing |G| and at most |G|/p, p the least
-prime dividing |G|, Lagrange leaves G as the only join.  A join <H, s> grows
-by whole right cosets of the orbit representative H (Dimino's algorithm;
-Butler, *Fundamental Algorithms for Permutation Groups*, §6): each coset
-times a generator is inside the union found so far or disjoint from it, so
-one element decides.  An element's right multiplication and conjugation
-arrays are composed from those of G's generators along its word, never from
+prime dividing |G|, Lagrange leaves G as the only join; and a seed inside a
+join J = <H, s> of prime index over H found before gives J again, as no
+subgroup lies strictly between H and J.  A join <H, s> grows by whole right
+cosets of the orbit representative H (Dimino's algorithm; Butler,
+*Fundamental Algorithms for Permutation Groups*, §6): each coset times a
+generator is inside the union found so far or disjoint from it, so one
+element decides.  An element's right multiplication and conjugation arrays
+are composed from those of G's generators along its word, never from
 permutation products.
 
 Subgroups are identified by their element set, encoded as a bitmask over the
@@ -43,7 +45,7 @@ from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup, subgroup_from_elements
 from .limits import Limits, resolve
 from .perms import Permutation
-from .primes import is_prime_power, prime_divisors, smallest_prime_factor
+from .primes import is_prime, is_prime_power, prime_divisors, smallest_prime_factor
 
 if TYPE_CHECKING:
     from .classes import GroupClass
@@ -238,9 +240,14 @@ class SubgroupLattice:
             member = bytearray(format(rep, f"0{self._n}b")[::-1], "ascii").translate(_BYTES)
             base = ([x for x, b in enumerate(member) if b], member)
             leaders = self._outside_seed_leaders(rep, rep_gens, seed_list, seed_of)
+            covered = 0  # the joins found of prime index over rep
             for _, seed_gen in leaders:
+                if covered >> seed_gen & 1:
+                    continue
                 gens = rep_gens + (seed_gen,)
                 joined = full_mask if only_full else self._closure_mask(gens, base)
+                if is_prime(joined.bit_count() // order):
+                    covered |= joined
                 if joined not in gen_info:
                     admit_orbit(joined, gens)
         # G is generated by its prime-power elements, so some join chain reaches it

@@ -4,8 +4,11 @@ the factor semidirect product, and semisimple decomposition."""
 import pytest
 
 import permgroups as pg
+from permgroups import chiefs
 from permgroups.errors import PreconditionError
+from permgroups.groups import walk_classes
 from permgroups.perms import parse_permutation
+from permgroups.primes import is_prime
 
 from conftest import element_orders, naive_factor_centralizer, naive_minimal_normal_subgroups
 
@@ -295,6 +298,9 @@ def _assert_minimal_normals_match(G):
     fast = pg.minimal_normal_subgroups(G)
     slow = naive_minimal_normal_subgroups(G)
     assert [N.generators for N in fast] == [N.generators for N in slow]
+    # the walk minimal_normal_subgroups reads: prime-order classes only, in order
+    walk = list(walk_classes(G, G.elements(), lambda x: is_prime(x.order()), set()))
+    assert walk == [cls for cls in G.conjugacy_classes() if is_prime(cls[0].order())]
 
 
 def test_minimal_normal_subgroups_match_element_sets_standard(standard):
@@ -307,3 +313,24 @@ def test_minimal_normal_subgroups_match_element_sets_standard(standard):
 def test_minimal_normal_subgroups_match_element_sets_semidirect(remark4_products):
     for P in remark4_products:
         _assert_minimal_normals_match(P)
+
+
+_DP = pg.direct_product
+
+
+@pytest.mark.parametrize(
+    "G",
+    [_DP(pg.cyclic(2), pg.elementary_abelian(5, 3)),
+     _DP(pg.dihedral(18), pg.elementary_abelian(3, 2))],
+    ids=lambda G: G.name,
+)
+def test_minimal_normal_subgroups_skip_classes_in_prime_order_candidates(G, monkeypatch):
+    # abelian-heavy groups: most prime-order classes lie in a candidate of
+    # prime order, and their normal closures are not built
+    closures = []
+    build = chiefs.subgroup_from_elements
+    monkeypatch.setattr(chiefs, "subgroup_from_elements",
+                        lambda H, cls: closures.append(cls) or build(H, cls))
+    _assert_minimal_normals_match(G)
+    prime_classes = [cls for cls in G.conjugacy_classes() if is_prime(cls[0].order())]
+    assert 0 < len(closures) < len(prime_classes)

@@ -1,10 +1,13 @@
 """Group construction, membership, subgroups, quotients, and products."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permgroups as pg
+from permgroups.chain import StabilizerChain
 from permgroups.errors import InputError, PreconditionError, ResourceLimitError
 from permgroups.perms import Permutation, parse_permutation
 
@@ -47,6 +50,33 @@ def test_chain_order_matches_closure(gens):
     oracle = closure_elements(6, gens)
     assert G.order == len(oracle)
     assert set(G.elements()) == oracle
+
+
+def _incremental_chains(degree, gens):
+    """Chains on gens: built at once, grown by _add, and grown by _add with
+    the record of sifted pairs dropped halfway."""
+    grown, restarted = StabilizerChain(degree, ()), StabilizerChain(degree, ())
+    for k, g in enumerate(gens):
+        grown._add(g)
+        if k == len(gens) // 2:
+            restarted.forget_sifted()
+        restarted._add(g)
+    return StabilizerChain(degree, gens), grown, restarted
+
+
+def test_incremental_chains_match_closure(standard):
+    # every chain has the closure's order and decides membership like it, on
+    # each group's generators and on seeded random subsets of its elements
+    rng = random.Random(20161115)
+    for G in standard:
+        elems = G.elements()
+        subsets = [list(G.generators)]
+        subsets += [rng.sample(elems, min(k, len(elems))) for k in (1, 2, 3, 4)]
+        for gens in subsets:
+            closure = closure_elements(G.degree, gens)
+            for chain in _incremental_chains(G.degree, gens):
+                assert chain.order() == len(closure)
+                assert all(chain.contains(e) == (e in closure) for e in elems)
 
 
 def test_chain_order_matches_closure_larger():

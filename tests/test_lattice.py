@@ -6,6 +6,7 @@ import pytest
 
 import permgroups as pg
 from permgroups.errors import ResourceLimitError
+from permgroups.primes import is_prime
 
 from conftest import brute_subgroups, elementwise_closure_mask, naive_lattice
 
@@ -99,6 +100,7 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
 def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
     # every join of the build, checked against growing it one element at a time
     results = []
+    prime_index_joins: dict[tuple, list[int]] = {}  # H's generators -> <H, s> of prime index
     closure = pg.SubgroupLattice._closure_mask
 
     def checked(self, gens, base):
@@ -107,9 +109,14 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
         # base is H = <gens[:-1]>: its element list and membership bytes
         assert sum(1 << x for x in elems) == elementwise_closure_mask(self, gens[:-1])
         assert [x for x, b in enumerate(member) if b] == elems
+        # a seed inside a join of prime index over H found before is not joined
+        found = prime_index_joins.setdefault(gens[:-1], [])
+        assert not any(J >> gens[-1] & 1 for J in found)
         mask = closure(self, gens, base)
         assert mask == elementwise_closure_mask(self, gens)
         assert bytes(member) == before
+        if is_prime(mask.bit_count() // len(elems)):
+            found.append(mask)
         results.append(mask)
         return mask
 

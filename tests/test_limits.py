@@ -79,3 +79,35 @@ def test_class_member_cache_honours_limits(monkeypatch):
     monkeypatch.setattr(pg.limits.DEFAULT, "enumeration", 5)
     assert X.member(G)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, lim: pg.chief_series(G, lim),
+    lambda G, lim: pg.chief_series(G, lim, reverse_tiebreak=True),
+    pg.minimal_normal_subgroups,
+    pg.normal_subgroups,
+], ids=["chief_series", "chief_series_rev", "minimal_normal_subgroups", "normal_subgroups"])
+def test_normal_structure_caches_honour_limits(call):
+    # a result cached under the default bounds is not served to a tighter
+    # one, and is served again under the default bounds
+    S5 = pg.symmetric(5)
+    first = call(S5, None)
+    with pytest.raises(ResourceLimitError) as err:
+        call(S5, pg.Limits(enumeration=10))
+    assert "10" in str(err.value)
+    again = call(S5, None)
+    if isinstance(first, list):  # a fresh list of the cached subgroups
+        assert list(map(id, again)) == list(map(id, first))
+    else:
+        assert again is first
+
+
+def test_centralizer_quotient_cache_honours_limits():
+    # the local path's quotient G/C_G(H/K), cached under the default bounds,
+    # is not served to a tighter one
+    G = pg.direct_product(pg.symmetric(4), pg.cyclic(3))
+    cf = next(cf for cf in pg.chief_series(G).factors if cf.centralizer.order == 12)
+    assert is_class_central(cf, pg.NILPOTENT) is False
+    with pytest.raises(ResourceLimitError):
+        is_class_central(cf, pg.NILPOTENT, pg.Limits(enumeration=10))
+    assert is_class_central(cf, pg.NILPOTENT) is False
