@@ -9,7 +9,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .limits import DEFAULT as DEFAULT_LIMITS, Limits
+from .limits import DEFAULT as DEFAULT_LIMITS, Limits, scope as limits_scope
 from .perms import Permutation, format_permutation, parse_permutation
 from .groups import (
     PermGroup,

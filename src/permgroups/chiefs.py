@@ -11,7 +11,7 @@ testing every element of G.
 
 from __future__ import annotations
 
-from dataclasses import astuple
+from operator import itemgetter
 from typing import Iterable
 
 from .chain import StabilizerChain
@@ -25,7 +25,7 @@ from .groups import (
     subgroup_from_elements,
     walk_classes,
 )
-from .limits import Limits, resolve
+from .limits import cache_key, current
 from .perms import Permutation
 from .primes import is_prime
 
@@ -33,9 +33,7 @@ from .primes import is_prime
 class ChiefFactor:
     """A chief factor H/K of G together with the induced G-action."""
 
-    def __init__(self, ambient: PermGroup, lower: Subgroup, upper: Subgroup,
-                 limits: Limits | None = None):
-        lim = resolve(limits)
+    def __init__(self, ambient: PermGroup, lower: Subgroup, upper: Subgroup):
         self.ambient = ambient
         self.lower = lower
         self.upper = upper
@@ -43,12 +41,12 @@ class ChiefFactor:
 
         if lower.is_trivial():
             # Cosets of 1 are the elements of H; use H itself as the factor.
-            self.cosets: tuple[Permutation, ...] = upper.elements(lim.enumeration)
+            self.cosets: tuple[Permutation, ...] = upper.elements()
             self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
             self.factor: PermGroup = upper
             self._regular = False
         else:
-            Q = Quotient(upper, lower, lim)
+            Q = Quotient(upper, lower)
             self.cosets, self._coset_of, self.factor = Q.reps, Q._coset_of, Q.group
             self._regular = True
 
@@ -56,7 +54,7 @@ class ChiefFactor:
         self.action: dict[Permutation, Permutation] = {
             g: self.action_of(g) for g in ambient.generators
         }
-        self.centralizer = self._compute_centralizer(lim)
+        self.centralizer = self._compute_centralizer()
 
     def factor_coset_of_element(self, h: Permutation) -> int:
         idx = self._coset_of.get(h.images)
@@ -72,7 +70,7 @@ class ChiefFactor:
             tuple(coset_of[(g_inv * rep * g).images] for rep in self.cosets)
         )
 
-    def _compute_centralizer(self, lim: Limits) -> Subgroup:
+    def _compute_centralizer(self) -> Subgroup:
         """C_G(H/K), the kernel of G's conjugation action on the cosets.
 
         Each generator g of G is glued to its coset action as one permutation
@@ -121,7 +119,7 @@ class ChiefFactor:
             gens = kept
         heads = [Permutation._unchecked(s.images[:n]) for s in gens]
         kernel = G if chain is None else PermGroup(n, heads)
-        return subgroup_from_elements(G, kernel.elements(lim.enumeration))
+        return subgroup_from_elements(G, kernel.elements())
 
     def is_central(self) -> bool:
         return self.centralizer.order == self.ambient.order
@@ -148,7 +146,7 @@ class ChiefSeries:
         return tuple(cf.factor.order for cf in self.factors)
 
 
-def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list[Subgroup]:
+def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """All minimal normal subgroups, sorted by their element-set encoding.
 
     Every minimal normal subgroup is the normal closure of any of its
@@ -159,8 +157,7 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
     of prime order is skipped: that candidate is generated by any of its
     nontrivial elements, so it is the class's normal closure.
     """
-    lim = resolve(limits)
-    key = ("min_normals", astuple(lim))
+    key = cache_key("min_normals")
     cached = G._cache.get(key)
     if cached is not None:
         return list(cached)
@@ -169,12 +166,11 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
         return []
     candidates: list[Subgroup] = []
     seen: set[Permutation] = set()
-    elems = G.elements(lim.enumeration)
-    for cls in walk_classes(G, elems, lambda x: is_prime(x.order()), seen):
+    for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
         rep = cls[0]
         N = subgroup_from_elements(G, cls)  # <class of rep> = normal closure
         if is_prime(N.order):
-            seen.update(N.elements(lim.enumeration))
+            seen.update(N.elements())
         # N repeats a candidate iff one of its order holds rep (both are normal)
         if not any(c.order == N.order and c.contains(rep) for c in candidates):
             candidates.append(N)
@@ -188,21 +184,38 @@ def minimal_normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list
     return minimal
 
 
+def _has_prime_order(x: Permutation) -> bool:
+    """``is_prime(x.order())`` without building x's cycles: every nontrivial
+    cycle of an element of prime order p has length p, so x has prime order
+    iff its first nontrivial cycle has prime length p and x^p = 1."""
+    images = x.images
+    start = next((i for i, j in enumerate(images) if i != j), None)
+    if start is None:  # the identity
+        return False
+    p, point = 1, images[start]
+    while point != start:
+        p, point = p + 1, images[point]
+    if not is_prime(p):
+        return False
+    power = images  # of x^k, composed as x^k * x by C-level indexing
+    for _ in range(p - 1):
+        power = itemgetter(*power)(images)
+    return power == tuple(range(len(images)))
+
+
 def _encoding(sub: PermGroup) -> tuple:
     """Sorted element-set encoding used for deterministic tie-breaking."""
     return tuple(p.images for p in sub.elements())
 
 
-def chief_series(G: PermGroup, limits: Limits | None = None,
-                 reverse_tiebreak: bool = False) -> ChiefSeries:
+def chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
     """A chief series built by lifting minimal normal subgroups of quotients.
 
     Tie-breaking among the minimal normal subgroups of the current quotient
     is by least sorted element-set encoding (greatest when reverse_tiebreak),
     so the construction is deterministic.
     """
-    lim = resolve(limits)
-    key = ("chief_series_rev" if reverse_tiebreak else "chief_series", astuple(lim))
+    key = cache_key("chief_series_rev" if reverse_tiebreak else "chief_series")
     cached = G._cache.get(key)
     if cached is not None:
         return cached
@@ -210,25 +223,23 @@ def chief_series(G: PermGroup, limits: Limits | None = None,
     factors: list[ChiefFactor] = []
     while terms[-1].order < G.order:
         K = terms[-1]
-        Q = quotient_group(G, K, lim)
-        mns = minimal_normal_subgroups(Q.group, lim)
+        Q = quotient_group(G, K)
+        mns = minimal_normal_subgroups(Q.group)
         chosen = mns[-1] if reverse_tiebreak else mns[0]
         H = Q.lift_subgroup(chosen)
-        factors.append(ChiefFactor(G, K, H, lim))
+        factors.append(ChiefFactor(G, K, H))
         terms.append(H)
     series = ChiefSeries(G, terms, factors)
     G._cache[key] = series
     return series
 
 
-def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup,
-                 limits: Limits | None = None) -> ChiefFactor:
+def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
     """The chief factor H/K, validating normality and minimality.
 
     Raises PreconditionError naming a witness when a normal subgroup of G
     lies strictly between K and H.
     """
-    lim = resolve(limits)
     conj = [(g.inverse(), g) for g in G.generators]
     for sub, label in ((K, "K"), (H, "H")):
         for n in sub.generators:
@@ -239,23 +250,21 @@ def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup,
                     raise PreconditionError(f"{label} is not normal in G")
     if not all(H.contains(k) for k in K.generators) or K.order >= H.order:
         raise PreconditionError("need K < H with K contained in H")
-    Q = quotient_group(G, K, lim)
+    Q = quotient_group(G, K)
     Hbar = Subgroup(Q.group, [Q.project(h) for h in H.generators])
-    for mn in minimal_normal_subgroups(Q.group, lim):
+    for mn in minimal_normal_subgroups(Q.group):
         if mn.order < Hbar.order and all(Hbar.contains(g) for g in mn.generators):
             witness = Q.lift_subgroup(mn)
             raise PreconditionError(
                 f"H/K is not a chief factor: normal subgroup of order {witness.order} "
                 f"lies strictly between (generators {witness.generators})"
             )
-    if not any(mn == Hbar for mn in minimal_normal_subgroups(Q.group, lim)):
+    if not any(mn == Hbar for mn in minimal_normal_subgroups(Q.group)):
         raise PreconditionError("H/K is not a minimal normal subgroup of G/K")
-    return ChiefFactor(G, K, H, lim)
+    return ChiefFactor(G, K, H)
 
 
-def induces_inner_automorphism(
-    cf: ChiefFactor, g: Permutation, limits: Limits | None = None
-) -> tuple[bool, Permutation | None]:
+def induces_inner_automorphism(cf: ChiefFactor, g: Permutation) -> tuple[bool, Permutation | None]:
     """Brute-force test: does g act on H/K as conjugation by some coset?
 
     Returns (verdict, witness representative).  This scans the factor's
@@ -300,14 +309,14 @@ def all_generators_induce_inner(cf: ChiefFactor) -> bool:
     return all(iis.contains(g) for g in cf.ambient.generators)
 
 
-def factor_semidirect(cf: ChiefFactor, limits: Limits | None = None) -> PermGroup:
+def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     """(H/K) x| G/C_G(H/K), realized faithfully on the factor's element set.
 
     The acting group is the conjugation image of G, which is faithful on the
     factor by construction, so the translations of H/K together with the
     action images generate a group of order |H/K| * |G : C_G(H/K)|.
     """
-    lim = resolve(limits)
+    lim = current()
     n = cf.factor.order
     quot = cf.ambient.order // cf.centralizer.order
     # every call checks the bounds, also when the product is cached
@@ -319,7 +328,7 @@ def factor_semidirect(cf: ChiefFactor, limits: Limits | None = None) -> PermGrou
     cached = cf._cache.get("factor_semidirect")
     if cached is not None:
         return cached
-    elems = cf.factor.elements(lim.enumeration)
+    elems = cf.factor.elements()
     index = {e: i for i, e in enumerate(elems)}
     # element <-> coset identification (regular action from the identity coset)
     if cf._regular:
@@ -343,20 +352,19 @@ def factor_semidirect(cf: ChiefFactor, limits: Limits | None = None) -> PermGrou
     return product
 
 
-def normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list[Subgroup]:
+def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """Every normal subgroup of G (join closure of class normal closures)."""
-    lim = resolve(limits)
-    cache_key = ("normal_subgroups", astuple(lim))
-    cached = G._cache.get(cache_key)
+    result_key = cache_key("normal_subgroups")
+    cached = G._cache.get(result_key)
     if cached is not None:
         return list(cached)
     seeds: list[Subgroup] = []
     seen: set[frozenset] = set()
-    for cls in G.conjugacy_classes(lim.enumeration):
+    for cls in G.conjugacy_classes():
         if cls[0].is_identity():
             continue
         N = subgroup_from_elements(G, cls)
-        key = N.element_set(lim.enumeration)
+        key = N.element_set()
         if key not in seen:
             seen.add(key)
             seeds.append(N)
@@ -372,30 +380,27 @@ def normal_subgroups(G: PermGroup, limits: Limits | None = None) -> list[Subgrou
             if s.element_set() <= cur.element_set():
                 continue
             J = join_subgroups(G, cur, s)
-            key = J.element_set(lim.enumeration)
+            key = J.element_set()
             if key not in normals:
                 normals[key] = J
                 worklist.append(J)
     out = sorted(normals.values(), key=lambda N: (N.order, _encoding(N)))
-    G._cache[cache_key] = tuple(out)
+    G._cache[result_key] = tuple(out)
     return list(out)
 
 
-def semisimple_decomposition(
-    G: PermGroup, N: Subgroup, limits: Limits | None = None
-) -> list[Subgroup]:
+def semisimple_decomposition(G: PermGroup, N: Subgroup) -> list[Subgroup]:
     """Express a semisimple non-abelian normal subgroup N as an internal
     direct product of minimal normal subgroups of G."""
-    lim = resolve(limits)
     conj = [(g.inverse(), g) for g in G.generators]
     for n in N.generators:
         for g_inv, g in conj:
             if not N.contains(g_inv * n * g):
                 raise PreconditionError("N is not normal in G")
-    _require_semisimple(N, lim)
+    _require_semisimple(N)
     chosen: list[Subgroup] = []
     current = G.trivial_subgroup()
-    for M in minimal_normal_subgroups(G, lim):
+    for M in minimal_normal_subgroups(G):
         if current.order == N.order:
             break
         if not all(N.contains(g) for g in M.generators):
@@ -411,16 +416,16 @@ def semisimple_decomposition(
     return chosen
 
 
-def _require_semisimple(N: Subgroup, lim: Limits) -> None:
+def _require_semisimple(N: Subgroup) -> None:
     if N.is_abelian():
         raise PreconditionError("N is abelian, not a product of non-abelian simples")
-    parts = minimal_normal_subgroups(N, lim)
+    parts = minimal_normal_subgroups(N)
     total = 1
     orders = set()
     for part in parts:
         if part.is_abelian():
             raise PreconditionError("N has an abelian minimal normal subgroup")
-        sub_mns = minimal_normal_subgroups(part, lim)
+        sub_mns = minimal_normal_subgroups(part)
         if len(sub_mns) != 1 or sub_mns[0].order != part.order:
             raise PreconditionError("a minimal normal subgroup of N is not simple")
         orders.add(part.order)

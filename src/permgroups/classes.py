@@ -23,7 +23,7 @@ serve one class's verdicts to another class that shares its name.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
 
@@ -37,7 +37,7 @@ from .chiefs import (
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup, commutator_subgroup, quotient_group
 from .lattice import MASK_RULES, all_subgroups
-from .limits import Limits, resolve
+from .limits import cache_key
 from .primes import is_prime, prime_divisors
 
 
@@ -63,7 +63,7 @@ class GroupClass:
     user_asserted: bool = False
 
     def member(self, G: PermGroup) -> bool:
-        key = ("class_member", self, astuple(resolve(None)))
+        key = cache_key("class_member", self)
         cached = G._cache.get(key)
         if cached is None:
             cached = G._cache[key] = bool(self.membership(G))
@@ -109,16 +109,12 @@ def is_abelian_group(G: PermGroup) -> bool:
 # -- X-centrality of chief factors -------------------------------------------
 
 
-def is_class_central_semidirect(
-    cf: ChiefFactor, X: GroupClass, limits: Limits | None = None
-) -> bool:
+def is_class_central_semidirect(cf: ChiefFactor, X: GroupClass) -> bool:
     """Definitional path: X.member((H/K) x| G/C_G(H/K))."""
-    return X.member(factor_semidirect(cf, limits))
+    return X.member(factor_semidirect(cf))
 
 
-def is_class_central_local(
-    cf: ChiefFactor, X: GroupClass, limits: Limits | None = None
-) -> bool:
+def is_class_central_local(cf: ChiefFactor, X: GroupClass) -> bool:
     """Lemma-style path: G/C_G(H/K) in F(p) for every p dividing |H/K|."""
     if X.local_definition is None:
         raise InputError(f"class {X.name} has no local definition")
@@ -127,19 +123,19 @@ def is_class_central_local(
             f"local definition of {X.name} is user-asserted full and integrated",
             stacklevel=2,
         )
-    Q = _centralizer_quotient(cf, limits)
+    Q = _centralizer_quotient(cf)
     return all(X.local_definition(p).member(Q) for p in prime_divisors(cf.factor.order))
 
 
-def _centralizer_quotient(cf: ChiefFactor, limits: Limits | None) -> PermGroup:
-    key = ("centralizer_quotient", astuple(resolve(limits)))
+def _centralizer_quotient(cf: ChiefFactor) -> PermGroup:
+    key = cache_key("centralizer_quotient")
     cached = cf._cache.get(key)
     if cached is None:
-        cached = cf._cache[key] = quotient_group(cf.ambient, cf.centralizer, limits).group
+        cached = cf._cache[key] = quotient_group(cf.ambient, cf.centralizer).group
     return cached
 
 
-def is_class_central(cf: ChiefFactor, X: GroupClass, limits: Limits | None = None) -> bool:
+def is_class_central(cf: ChiefFactor, X: GroupClass) -> bool:
     """Is the chief factor X-central, i.e. (H/K) x| G/C_G(H/K) in X?
 
     A class's own central test answers first (for N*, the inner-automorphism
@@ -148,20 +144,20 @@ def is_class_central(cf: ChiefFactor, X: GroupClass, limits: Limits | None = Non
     semidirect product.  When the product exceeds the bounds, the local path
     is the fallback; without one the resource error propagates.
     """
-    key = ("central", X, astuple(resolve(limits)))
+    key = cache_key("central", X)
     cached = cf._cache.get(key)
     if cached is not None:
         return cached
     if X.central_test is not None:
         verdict = X.central_test(cf)
     elif X.local_definition is not None and X.hereditary:
-        verdict = is_class_central_local(cf, X, limits)
+        verdict = is_class_central_local(cf, X)
     else:
         try:
-            verdict = is_class_central_semidirect(cf, X, limits)
+            verdict = is_class_central_semidirect(cf, X)
         except ResourceLimitError:
             if X.local_definition is not None:
-                verdict = is_class_central_local(cf, X, limits)
+                verdict = is_class_central_local(cf, X)
             else:
                 raise
     cf._cache[key] = verdict
@@ -171,7 +167,7 @@ def is_class_central(cf: ChiefFactor, X: GroupClass, limits: Limits | None = Non
 # -- quasi-F membership --------------------------------------------------------
 
 
-def is_quasi_F(G: PermGroup, F: GroupClass, limits: Limits | None = None) -> bool:
+def is_quasi_F(G: PermGroup, F: GroupClass) -> bool:
     """Every chief factor is F-central or has all of G inducing inner
     automorphisms on it.
 
@@ -182,28 +178,27 @@ def is_quasi_F(G: PermGroup, F: GroupClass, limits: Limits | None = None) -> boo
         raise InputError(
             f"quasi-{F.name} membership requires a class containing all nilpotent groups"
         )
-    for cf in chief_series(G, limits).factors:
+    for cf in chief_series(G).factors:
         if all_generators_induce_inner(cf):
             continue
-        if is_class_central(cf, F, limits):
+        if is_class_central(cf, F):
             continue
         return False
     return True
 
 
-def is_quasinilpotent(G: PermGroup, limits: Limits | None = None) -> bool:
-    return is_quasi_F(G, NILPOTENT, limits)
+def is_quasinilpotent(G: PermGroup) -> bool:
+    return is_quasi_F(G, NILPOTENT)
 
 
-def is_nca_member(G: PermGroup, limits: Limits | None = None) -> bool:
+def is_nca_member(G: PermGroup) -> bool:
     """Abelian chief factors central, non-abelian chief factors simple."""
-    lim = resolve(limits)
-    for cf in chief_series(G, lim).factors:
+    for cf in chief_series(G).factors:
         if cf.factor_is_abelian():
             if not cf.is_central():
                 return False
         else:
-            mns = minimal_normal_subgroups(cf.factor, lim)
+            mns = minimal_normal_subgroups(cf.factor)
             if len(mns) != 1 or mns[0].order != cf.factor.order:
                 return False
     return True
@@ -313,15 +308,13 @@ def class_by_name(selector: str) -> GroupClass:
 # -- s-critical groups ----------------------------------------------------------
 
 
-def s_critical_groups(
-    corpus: Sequence[PermGroup], X: GroupClass, limits: Limits | None = None
-) -> list[PermGroup]:
+def s_critical_groups(corpus: Sequence[PermGroup], X: GroupClass) -> list[PermGroup]:
     """Groups outside X all of whose maximal subgroups lie in X."""
     out = []
     for G in corpus:
         if X.member(G):
             continue
-        lattice = all_subgroups(G, limits)
+        lattice = all_subgroups(G)
         member = dict(zip(lattice.masks, lattice.class_membership(X)))
         if all(member[m] for m in lattice.maximal_masks()):
             out.append(G)

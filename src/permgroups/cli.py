@@ -16,11 +16,10 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from . import limits as limits_mod
 from .classes import (
     NCA,
     NILPOTENT,
@@ -41,7 +40,7 @@ from .hypercenter import (
     remark4_sides,
     run_suite,
 )
-from .limits import check_degree
+from .limits import DEFAULT, Limits, check_degree, scope
 from .named import CONSTRUCTOR_DEGREES, CONSTRUCTORS
 from .perms import format_permutation, parse_permutation
 
@@ -52,9 +51,9 @@ class CliConfig:
     class_selector: str = "N*"
     corpus: str | None = None
     group_path: str | None = None
-    enumeration_bound: int = 10_000
-    lattice_bound: int = 2_000
-    semidirect_bound: int = 10_000
+    enumeration_bound: int = DEFAULT.enumeration
+    lattice_bound: int = DEFAULT.lattice
+    semidirect_bound: int = DEFAULT.semidirect_degree
     output: str | None = None
     timings: bool = True
     emit_generators: bool = False
@@ -153,7 +152,7 @@ def _load_corpus_file(path: Path) -> list[PermGroup]:
     return groups
 
 
-def _resolve_groups(config: CliConfig) -> list[PermGroup]:
+def _load_groups(config: CliConfig) -> list[PermGroup]:
     if config.group_path:
         return [_load_group(config.group_path)]
     name = config.corpus or "smoke"
@@ -264,14 +263,10 @@ def _s_critical_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO)
 
 
 def run(config: CliConfig) -> int:
-    """Run one command with the config's bounds as the process-wide defaults;
-    the previous defaults are back in place when it returns or raises."""
-    saved = replace(limits_mod.DEFAULT)
-    limits_mod.DEFAULT.enumeration = config.enumeration_bound
-    limits_mod.DEFAULT.lattice = config.lattice_bound
-    limits_mod.DEFAULT.semidirect_degree = config.semidirect_bound
-    try:
-        groups = _resolve_groups(config)
+    """Run one command with the config's bounds in effect; the bounds in
+    effect before are back when it returns or raises."""
+    with scope(Limits(config.enumeration_bound, config.lattice_bound, config.semidirect_bound)):
+        groups = _load_groups(config)
         with open(config.output, "w") if config.output else nullcontext(sys.stdout) as sink:
             if config.command in SUITES:
                 class_name, sides, assert_equal = SUITES[config.command]
@@ -284,8 +279,6 @@ def run(config: CliConfig) -> int:
             if config.command == "s-critical":
                 return _s_critical_cmd(config, groups, sink)
             raise InputError(f"unknown command {config.command!r}")
-    finally:
-        vars(limits_mod.DEFAULT).update(vars(saved))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "or path to a JSON corpus spec")
         p.add_argument("--group", dest="group_path", default=None,
                        help="path to a single group definition file")
-        p.add_argument("--enumeration-bound", type=int, default=10_000)
-        p.add_argument("--lattice-bound", type=int, default=2_000)
-        p.add_argument("--semidirect-bound", type=int, default=10_000)
+        p.add_argument("--enumeration-bound", type=int, default=DEFAULT.enumeration)
+        p.add_argument("--lattice-bound", type=int, default=DEFAULT.lattice)
+        p.add_argument("--semidirect-bound", type=int, default=DEFAULT.semidirect_degree)
         p.add_argument("--output", default=None, help="write reports to this file")
         p.add_argument("--no-timings", dest="timings", action="store_false",
                        help="omit timing fields for byte-identical reruns")

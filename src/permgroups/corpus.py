@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .groups import PermGroup, direct_product
-from .limits import Limits, resolve
+from .limits import current
 from .named import (
     alternating,
     cyclic,
@@ -41,8 +41,8 @@ def standard_corpus() -> list[PermGroup]:
     return groups
 
 
-def extended_corpus(limits: Limits | None = None) -> list[PermGroup]:
-    lim = resolve(limits)
+def extended_corpus() -> list[PermGroup]:
+    bound = current().lattice
     base = standard_corpus()
     groups = list(base)
     seen = {g.name for g in base}
@@ -50,7 +50,7 @@ def extended_corpus(limits: Limits | None = None) -> list[PermGroup]:
         for b in base[i:]:
             if a.order == 1 or b.order == 1:
                 continue
-            if a.order * b.order > lim.lattice:
+            if a.order * b.order > bound:
                 continue
             name = f"{a.name}x{b.name}"
             if name in seen:
@@ -60,11 +60,11 @@ def extended_corpus(limits: Limits | None = None) -> list[PermGroup]:
     return groups
 
 
-def builtin_corpus(name: str, limits: Limits | None = None) -> list[PermGroup]:
+def builtin_corpus(name: str) -> list[PermGroup]:
     if name == "smoke":
         return smoke_corpus()
     if name == "standard":
         return standard_corpus()
     if name == "extended":
-        return extended_corpus(limits)
+        return extended_corpus()
     raise InputError(f"unknown corpus {name!r} (expected smoke, standard, or extended)")

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .limits import Limits, resolve
+from .limits import current
 from .perms import Permutation
 
 # sort key giving the same order as Permutation.__lt__, without its calls
@@ -79,8 +79,9 @@ class PermGroup:
         return val
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
-        """All elements, sorted by image tuple; every call checks the enumeration bound."""
-        bound = resolve(None).enumeration if limit is None else limit
+        """All elements, sorted by image tuple; every call checks the enumeration
+        bound in effect, or ``limit`` in its place."""
+        bound = current().enumeration if limit is None else limit
         if self.order > bound:
             raise ResourceLimitError(
                 f"group order {self.order} exceeds enumeration bound {bound}"
@@ -90,16 +91,16 @@ class PermGroup:
             elems = self._cache["elements"] = tuple(sorted(self.chain.elements(), key=_IMAGES))
         return elems
 
-    def element_set(self, limit: int | None = None) -> frozenset[Permutation]:
-        elems = self.elements(limit)  # the bound check, also when cached
+    def element_set(self) -> frozenset[Permutation]:
+        elems = self.elements()  # the bound check, also when cached
         val = self._cache.get("element_set")
         if val is None:
             val = self._cache["element_set"] = frozenset(elems)
         return val
 
-    def conjugacy_classes(self, limit: int | None = None) -> tuple[tuple[Permutation, ...], ...]:
+    def conjugacy_classes(self) -> tuple[tuple[Permutation, ...], ...]:
         """Conjugacy classes as sorted tuples, ordered by least member."""
-        elems = self.elements(limit)  # the bound check, also when cached
+        elems = self.elements()  # the bound check, also when cached
         val = self._cache.get("classes")
         if val is None:
             val = self._cache["classes"] = tuple(walk_classes(self, elems, lambda x: True, set()))
@@ -236,25 +237,24 @@ def join_subgroups(G: PermGroup, *subs: PermGroup, name: str | None = None) -> S
     return Subgroup(G, gens, name=name)
 
 
-def centralizer(G: PermGroup, S: PermGroup, limits: Limits | None = None) -> Subgroup:
+def centralizer(G: PermGroup, S: PermGroup) -> Subgroup:
     """{g in G : gs = sg for every s in S}, by enumeration of G.
 
     S must be a subgroup of G (generator membership is checked).  It suffices
     to commute with S's generators.
     """
-    lim = resolve(limits)
     if S.degree != G.degree:
         raise InputError("centralizer requires matching degrees")
     for s in S.generators:
         if not G.contains(s):
             raise InputError("S is not a subgroup of G")
     sgens = S.generators
-    passing = [g for g in G.elements(lim.enumeration) if all(g * s == s * g for s in sgens)]
+    passing = [g for g in G.elements() if all(g * s == s * g for s in sgens)]
     return subgroup_from_elements(G, passing)
 
 
-def center(G: PermGroup, limits: Limits | None = None) -> Subgroup:
-    return centralizer(G, G, limits)
+def center(G: PermGroup) -> Subgroup:
+    return centralizer(G, G)
 
 
 def normal_closure(G: PermGroup, S: PermGroup) -> Subgroup:
@@ -298,8 +298,7 @@ class Quotient:
     itself with the identity projection.
     """
 
-    def __init__(self, ambient: PermGroup, kernel: Subgroup, limits: Limits | None = None):
-        lim = resolve(limits)
+    def __init__(self, ambient: PermGroup, kernel: Subgroup):
         self.ambient = ambient
         self.kernel = kernel
         if kernel.is_trivial():
@@ -307,8 +306,8 @@ class Quotient:
             self.reps: tuple[Permutation, ...] = ()
             self._coset_of: dict[tuple, int] | None = None
             return
-        ambient.elements(lim.enumeration)  # enforce the bound before coset work
-        kernel_elems = kernel.elements(lim.enumeration)
+        ambient.elements()  # enforce the bound before coset work
+        kernel_elems = kernel.elements()
         coset_of: dict[tuple, int] = {}
         reps: list[Permutation] = []
 
@@ -364,7 +363,7 @@ class Quotient:
         return Subgroup(self.ambient, gens, name=name)
 
 
-def quotient_group(G: PermGroup, N: Subgroup, limits: Limits | None = None) -> Quotient:
+def quotient_group(G: PermGroup, N: Subgroup) -> Quotient:
     """Quotient of G by a normal subgroup N, with the projection map.
 
     Raises PreconditionError when N is not normal in G.
@@ -380,7 +379,7 @@ def quotient_group(G: PermGroup, N: Subgroup, limits: Limits | None = None) -> Q
                 raise PreconditionError(
                     f"subgroup is not normal: conjugate of {n!r} by {g!r} falls outside"
                 )
-    return Quotient(G, N, limits)
+    return Quotient(G, N)
 
 
 # -- products ----------------------------------------------------------------
@@ -406,11 +405,10 @@ def direct_product(A: PermGroup, B: PermGroup, name: str | None = None) -> PermG
 
 
 def automorphism_permutation(
-    N: PermGroup, func: Callable[[Permutation], Permutation], limits: Limits | None = None
+    N: PermGroup, func: Callable[[Permutation], Permutation]
 ) -> Permutation:
     """Encode an automorphism of N as a permutation of N's sorted element list."""
-    lim = resolve(limits)
-    elems = N.elements(lim.enumeration)
+    elems = N.elements()
     index = {e: i for i, e in enumerate(elems)}
     images = []
     for e in elems:
@@ -421,9 +419,8 @@ def automorphism_permutation(
     return Permutation(images)
 
 
-def trivial_action(N: PermGroup, H: PermGroup, limits: Limits | None = None) -> dict:
-    lim = resolve(limits)
-    ident = Permutation.identity(len(N.elements(lim.enumeration)))
+def trivial_action(N: PermGroup, H: PermGroup) -> dict:
+    ident = Permutation.identity(len(N.elements()))
     return {h: ident for h in H.generators}
 
 
@@ -431,7 +428,6 @@ def semidirect_product(
     N: PermGroup,
     H: PermGroup,
     action: Mapping[Permutation, Permutation],
-    limits: Limits | None = None,
     name: str | None = None,
 ) -> PermGroup:
     """External semidirect product N x| H.
@@ -446,7 +442,7 @@ def semidirect_product(
     so it is faithful for the full product even when the action has a kernel;
     a trivial action therefore reproduces the direct product N x H.
     """
-    lim = resolve(limits)
+    lim = current()
     if N.order > lim.semidirect_degree:
         raise ResourceLimitError(
             f"semidirect realization needs {N.order} points, "
@@ -488,13 +484,13 @@ def semidirect_product(
 # -- series -------------------------------------------------------------------
 
 
-def upper_central_series(G: PermGroup, limits: Limits | None = None) -> list[Subgroup]:
+def upper_central_series(G: PermGroup) -> list[Subgroup]:
     """Ascending central series 1 <= Z1 <= Z2 <= ..., ending at the hypercenter."""
     terms = [G.trivial_subgroup()]
     while True:
         Z = terms[-1]
-        Q = quotient_group(G, Z, limits)
-        zbar = center(Q.group, limits)
+        Q = quotient_group(G, Z)
+        zbar = center(Q.group)
         if zbar.is_trivial():
             return terms
         nxt = Q.lift_subgroup(zbar)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chiefs import (
@@ -27,7 +27,7 @@ from .classes import (
 from .errors import ResourceLimitError, VerificationError
 from .groups import PermGroup, Subgroup, quotient_group, upper_central_series
 from .lattice import all_subgroups
-from .limits import Limits, resolve
+from .limits import cache_key
 from .perms import format_permutation
 
 
@@ -78,22 +78,20 @@ class VerificationReport:
 def _climb(
     G: PermGroup,
     step_ok: Callable[[ChiefFactor], bool],
-    limits: Limits | None,
 ) -> tuple[Subgroup, tuple[tuple[Subgroup, int, bool], ...]]:
     """Greedy ascent: lift one admissible minimal normal subgroup per step.
 
     Candidates are scanned in their deterministic encoding order; the climb
     stops when no minimal normal subgroup of G/Z passes the step predicate.
     """
-    lim = resolve(limits)
     Z = G.trivial_subgroup()
     trace: list[tuple[Subgroup, int, bool]] = []
     while Z.order < G.order:
-        Q = quotient_group(G, Z, lim)
+        Q = quotient_group(G, Z)
         lifted = None
-        for mn in minimal_normal_subgroups(Q.group, lim):
+        for mn in minimal_normal_subgroups(Q.group):
             H = Q.lift_subgroup(mn)
-            cf = ChiefFactor(G, Z, H, lim)
+            cf = ChiefFactor(G, Z, H)
             if step_ok(cf):
                 lifted = (H, cf)
                 break
@@ -105,37 +103,34 @@ def _climb(
     return Z, tuple(trace)
 
 
-def hypercenter(G: PermGroup, X: GroupClass, limits: Limits | None = None) -> HypercenterResult:
+def hypercenter(G: PermGroup, X: GroupClass) -> HypercenterResult:
     """Z_X(G) via the greedy climb over X-central minimal normal subgroups."""
-    key = ("hypercenter", X, astuple(resolve(limits)))
+    key = cache_key("hypercenter", X)
     cached = G._cache.get(key)
     if cached is None:
-        Z, trace = _climb(G, lambda cf: is_class_central(cf, X, limits), limits)
+        Z, trace = _climb(G, lambda cf: is_class_central(cf, X))
         cached = G._cache[key] = HypercenterResult(G, X.name, Z, trace)
     return cached
 
 
-def semidirect_hypercenter(
-    G: PermGroup, X: GroupClass, limits: Limits | None = None
-) -> Subgroup:
+def semidirect_hypercenter(G: PermGroup, X: GroupClass) -> Subgroup:
     """Z_X(G) by the same climb, every step decided on the definitional
     semidirect path; the independent side against which class shortcuts
     (such as the N* inner-automorphism test) are checked."""
-    Z, _ = _climb(G, lambda cf: is_class_central_semidirect(cf, X, limits), limits)
+    Z, _ = _climb(G, lambda cf: is_class_central_semidirect(cf, X))
     return Z
 
 
-def hypercenter_oracle(G: PermGroup, X: GroupClass, limits: Limits | None = None) -> Subgroup:
+def hypercenter_oracle(G: PermGroup, X: GroupClass) -> Subgroup:
     """Direct definition: the product of all X-hypercentral normal subgroups.
 
     A normal subgroup is X-hypercentral when one (hence, by Jordan-Hoelder,
     any) chief series of G below it has only X-central factors.  No greedy
     shortcut: every normal subgroup is enumerated and walked.
     """
-    lim = resolve(limits)
     hypercentral: list[Subgroup] = []
-    for N in normal_subgroups(G, lim):
-        if _is_hypercentral_below(G, N, X, lim):
+    for N in normal_subgroups(G):
+        if _is_hypercentral_below(G, N, X):
             hypercentral.append(N)
     gens = []
     for N in hypercentral:
@@ -143,33 +138,29 @@ def hypercenter_oracle(G: PermGroup, X: GroupClass, limits: Limits | None = None
     return Subgroup(G, gens)
 
 
-def _is_hypercentral_below(
-    G: PermGroup, N: Subgroup, X: GroupClass, lim: Limits
-) -> bool:
+def _is_hypercentral_below(G: PermGroup, N: Subgroup, X: GroupClass) -> bool:
     K = G.trivial_subgroup()
     while K.order < N.order:
-        Q = quotient_group(G, K, lim)
+        Q = quotient_group(G, K)
         Nbar = Q.group.subgroup([Q.project(g) for g in N.generators])
         step = None
-        for mn in minimal_normal_subgroups(Q.group, lim):
+        for mn in minimal_normal_subgroups(Q.group):
             if all(Nbar.contains(g) for g in mn.generators):
                 step = mn
                 break
         if step is None:  # cannot happen for a normal N; defensive
             return False
         H = Q.lift_subgroup(step)
-        cf = ChiefFactor(G, K, H, lim)
-        if not is_class_central(cf, X, lim):
+        cf = ChiefFactor(G, K, H)
+        if not is_class_central(cf, X):
             return False
         K = H
     return True
 
 
-def intersection_of_class_maximal(
-    G: PermGroup, X: GroupClass, limits: Limits | None = None
-) -> Subgroup:
+def intersection_of_class_maximal(G: PermGroup, X: GroupClass) -> Subgroup:
     """Int_X(G): elementwise intersection of all X-maximal subgroups of G."""
-    lattice = all_subgroups(G, limits)
+    lattice = all_subgroups(G)
     masks = lattice.class_maximal_masks(X)
     mask = (1 << G.order) - 1 if G.order else 0
     for m in masks:
@@ -177,10 +168,10 @@ def intersection_of_class_maximal(
     return lattice.subgroup_from_mask(mask)
 
 
-def inner_induction_hypercenter(G: PermGroup, limits: Limits | None = None) -> Subgroup:
+def inner_induction_hypercenter(G: PermGroup) -> Subgroup:
     """Greatest normal subgroup below which every element of G induces inner
     automorphisms on every chief factor (greedy climb form)."""
-    Z, _ = _climb(G, all_generators_induce_inner, limits)
+    Z, _ = _climb(G, all_generators_induce_inner)
     return Z
 
 
@@ -204,27 +195,26 @@ def _contains_subgroup(big: PermGroup, small: PermGroup) -> bool:
     return all(big.contains(g) for g in small.generators)
 
 
-Sides = Callable[[PermGroup, str, Limits | None], tuple[Subgroup, Subgroup, bool]]
+Sides = Callable[[PermGroup, str], tuple[Subgroup, Subgroup, bool]]
 
 
 def run_suite(
-    corpus: Iterable[PermGroup],
-    class_name: str,
-    sides: Sides,
-    limits: Limits | None = None,
+    corpus: Iterable[PermGroup], class_name: str, sides: Sides
 ) -> Iterator[VerificationReport]:
     """Run one verification suite lazily, one report per corpus group.
 
-    ``sides(G, group_id, limits)`` returns (Z, other side, equal); each report
-    is yielded as soon as its group is done.  A resource error is recorded in
-    the group's report and the run goes on; any other error propagates after
-    the earlier groups' reports have been yielded.
+    ``sides(G, group_id)`` returns (Z, other side, equal); each report is
+    yielded as soon as its group is done.  A group is computed under the
+    bounds in effect while the suite is iterated, not where it was created.
+    A resource error is recorded in the group's report and the run goes on;
+    any other error propagates after the earlier groups' reports have been
+    yielded.
     """
     for i, G in enumerate(corpus):
         gid = _group_id(G, i)
         started = time.perf_counter()
         try:
-            Z, other, equal = sides(G, gid, limits)
+            Z, other, equal = sides(G, gid)
         except ResourceLimitError as exc:
             yield VerificationReport(
                 group_id=gid, order=G.order, class_name=class_name,
@@ -247,9 +237,9 @@ def corollary_sides(F: GroupClass) -> Sides:
     failure raises VerificationError."""
     Fstar = quasi_class(F)
 
-    def sides(G: PermGroup, gid: str, limits: Limits | None):
-        Z = hypercenter(G, Fstar, limits).subgroup
-        Int = intersection_of_class_maximal(G, Fstar, limits)
+    def sides(G: PermGroup, gid: str):
+        Z = hypercenter(G, Fstar).subgroup
+        Int = intersection_of_class_maximal(G, Fstar)
         if not _contains_subgroup(Int, Z):
             raise VerificationError(
                 f"Z_{{{Fstar.name}}} not contained in Int_{{{Fstar.name}}} for {gid}; "
@@ -260,65 +250,57 @@ def corollary_sides(F: GroupClass) -> Sides:
     return sides
 
 
-def baer_sides(G: PermGroup, gid: str, limits: Limits | None):
+def baer_sides(G: PermGroup, gid: str):
     """Z_N(G) and Int_N(G), equal when both are the top of the upper central series."""
-    Z = hypercenter(G, NILPOTENT, limits).subgroup
-    Int = intersection_of_class_maximal(G, NILPOTENT, limits)
-    ucs_top = upper_central_series(G, limits)[-1]
+    Z = hypercenter(G, NILPOTENT).subgroup
+    Int = intersection_of_class_maximal(G, NILPOTENT)
+    ucs_top = upper_central_series(G)[-1]
     return Z, Int, Z == Int and Z == ucs_top
 
 
-def remark4_sides(G: PermGroup, gid: str, limits: Limits | None):
+def remark4_sides(G: PermGroup, gid: str):
     """Z_{N*}(G) climbed on the semidirect path and the inner-induction hypercenter."""
-    Z = semidirect_hypercenter(G, QUASINILPOTENT, limits)
-    inner = inner_induction_hypercenter(G, limits)
+    Z = semidirect_hypercenter(G, QUASINILPOTENT)
+    inner = inner_induction_hypercenter(G)
     return Z, inner, Z == inner
 
 
-def nca_sides(G: PermGroup, gid: str, limits: Limits | None):
+def nca_sides(G: PermGroup, gid: str):
     """Z_{Nca}(G) and Int_{Nca}(G)."""
-    Z = hypercenter(G, NCA, limits).subgroup
-    Int = intersection_of_class_maximal(G, NCA, limits)
+    Z = hypercenter(G, NCA).subgroup
+    Int = intersection_of_class_maximal(G, NCA)
     return Z, Int, Z == Int
 
 
-def verify_theorem1(
-    corpus: Sequence[PermGroup], F: GroupClass, limits: Limits | None = None
-) -> list[VerificationReport]:
+def verify_theorem1(corpus: Sequence[PermGroup], F: GroupClass) -> list[VerificationReport]:
     """Per corpus group: Z_{F*}(G) and Int_{F*}(G), with the equality verdict.
 
     The containment Z <= Int is asserted unconditionally; its failure would
     contradict a proved inclusion and raises VerificationError.  Per-group
     resource errors are recorded in the report rather than aborting the run.
     """
-    return list(run_suite(corpus, quasi_class(F).name, corollary_sides(F), limits))
+    return list(run_suite(corpus, quasi_class(F).name, corollary_sides(F)))
 
 
-def verify_baer(
-    corpus: Sequence[PermGroup], limits: Limits | None = None
-) -> list[VerificationReport]:
+def verify_baer(corpus: Sequence[PermGroup]) -> list[VerificationReport]:
     """Int_N(G) = Z_N(G) = top of the upper central series, per corpus group."""
-    return list(run_suite(corpus, NILPOTENT.name, baer_sides, limits))
+    return list(run_suite(corpus, NILPOTENT.name, baer_sides))
 
 
-def verify_remark4(
-    corpus: Sequence[PermGroup], limits: Limits | None = None
-) -> list[VerificationReport]:
+def verify_remark4(corpus: Sequence[PermGroup]) -> list[VerificationReport]:
     """inner_induction_hypercenter(G) = Z_{N*}(G), per corpus group.
 
     Z_{N*} is climbed on the definitional semidirect path, not through N*'s
     central test, which is this very criterion.  The int_* report fields
     carry the inner-induction side of the comparison.
     """
-    return list(run_suite(corpus, QUASINILPOTENT.name, remark4_sides, limits))
+    return list(run_suite(corpus, QUASINILPOTENT.name, remark4_sides))
 
 
-def compare_nca(
-    corpus: Sequence[PermGroup], limits: Limits | None = None
-) -> list[VerificationReport]:
+def compare_nca(corpus: Sequence[PermGroup]) -> list[VerificationReport]:
     """Observe Z_{Nca}(G) against Int_{Nca}(G); nothing is asserted.
 
     The two sides can differ (the known separating group is far beyond desk
     scale), so the report records whatever the corpus shows.
     """
-    return list(run_suite(corpus, NCA.name, nca_sides, limits))
+    return list(run_suite(corpus, NCA.name, nca_sides))

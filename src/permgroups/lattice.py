@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup, subgroup_from_elements
-from .limits import Limits, resolve
+from .limits import cache_key, current
 from .perms import Permutation
 from .primes import is_prime, is_prime_power, prime_divisors, smallest_prime_factor
 
@@ -60,15 +60,13 @@ _BITS, _BYTES = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
 class SubgroupLattice:
     """All subgroups of a small ambient group, with conjugation orbits."""
 
-    def __init__(self, ambient: PermGroup, limits: Limits | None = None):
-        lim = resolve(limits)
+    def __init__(self, ambient: PermGroup):
         n = ambient.order
-        if n > lim.lattice:
-            raise ResourceLimitError(
-                f"subgroup lattice bound {lim.lattice} exceeded by group order {n}"
-            )
+        bound = current().lattice
+        if n > bound:
+            raise ResourceLimitError(f"subgroup lattice bound {bound} exceeded by group order {n}")
         self.ambient = ambient
-        elems = self._elems = ambient.elements(lim.enumeration)
+        elems = self._elems = ambient.elements()
         index = {e: i for i, e in enumerate(elems)}
         self._n = n
         identity_idx = self._identity_idx = index[Permutation.identity(ambient.degree)]
@@ -351,11 +349,11 @@ class SubgroupLattice:
         return [self.node(self._mask_pos[m]) for m in self.class_maximal_masks(X)]
 
 
-def all_subgroups(G: PermGroup, limits: Limits | None = None) -> SubgroupLattice:
+def all_subgroups(G: PermGroup) -> SubgroupLattice:
     """Enumerate every subgroup of G (|G| capped by the lattice bound)."""
-    cached = G._cache.get("lattice")
-    # over the bound, a cached lattice is not returned: building one raises
-    if cached is None or G.order > resolve(limits).lattice:
-        cached = G._cache["lattice"] = SubgroupLattice(G, limits)
+    key = cache_key("lattice")
+    cached = G._cache.get(key)
+    if cached is None:
+        cached = G._cache[key] = SubgroupLattice(G)
     return cached
 

@@ -2,16 +2,24 @@
 
 All exact algorithms in this package live at desk scale; these bounds make
 that explicit and turn runaway inputs into clean errors instead of hangs.
+One set of bounds is in effect at a time: ``current()`` reads it, and
+``scope(bounds)`` sets it for a ``with`` block, nested calls included.
+Outside every scope it is ``DEFAULT``; the CLI opens one scope per run from
+its ``--*-bound`` flags.  Result caches are keyed by the bounds in effect
+(``cache_key``), so no result is served under bounds it was not computed in.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InputError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Limits:
     # Largest group order for which full element enumeration is permitted.
     enumeration: int = 10_000
@@ -22,17 +30,35 @@ class Limits:
     semidirect_degree: int = 10_000
 
 
-#: Process-wide defaults.  The CLI overrides these fields in place for the
-#: length of one run so that deeply nested operations observe the same knobs.
+#: The bounds in effect outside every scope.
 DEFAULT = Limits()
 
+_ACTIVE: ContextVar[Limits] = ContextVar("permgroups_limits", default=DEFAULT)
 
-def resolve(limits: Limits | None) -> Limits:
-    return DEFAULT if limits is None else limits
+
+def current() -> Limits:
+    """The bounds in effect."""
+    return _ACTIVE.get()
+
+
+@contextmanager
+def scope(bounds: Limits) -> Iterator[Limits]:
+    """Put ``bounds`` in effect inside the ``with`` block; the bounds in
+    effect before are back when it exits, also on an exception."""
+    token = _ACTIVE.set(bounds)
+    try:
+        yield bounds
+    finally:
+        _ACTIVE.reset(token)
+
+
+def cache_key(*parts: object) -> tuple:
+    """Key of a cached result identified by ``parts`` under the bounds in effect."""
+    return (*parts, current())
 
 
 def check_degree(degree: int, what: str) -> None:
     """Reject ``what`` on ``degree`` points before anything that size is built."""
-    bound = DEFAULT.semidirect_degree
+    bound = current().semidirect_degree
     if degree > bound:
         raise InputError(f"{what} needs {degree} points, exceeding the point bound {bound}")

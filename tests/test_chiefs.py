@@ -246,8 +246,8 @@ def remark4_products(standard):
     products = []
     build = pg.classes.factor_semidirect
 
-    def recording(cf, limits=None):
-        products.append(build(cf, limits))
+    def recording(cf):
+        products.append(build(cf))
         return products[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -299,6 +299,8 @@ def _assert_minimal_normals_match(G):
     slow = naive_minimal_normal_subgroups(G)
     assert [N.generators for N in fast] == [N.generators for N in slow]
     # the walk minimal_normal_subgroups reads: prime-order classes only, in order
+    elems = G.elements()
+    assert list(map(chiefs._has_prime_order, elems)) == [is_prime(x.order()) for x in elems]
     walk = list(walk_classes(G, G.elements(), lambda x: is_prime(x.order()), set()))
     assert walk == [cls for cls in G.conjugacy_classes() if is_prime(cls[0].order())]
 

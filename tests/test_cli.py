@@ -12,6 +12,7 @@ import pytest
 import permgroups as pg
 from permgroups.cli import CliConfig, format_group, main, parse_group_file, run
 from permgroups.errors import InputError
+from permgroups.limits import current
 
 
 S5_TEXT = "degree 5\n(0 1 2 3 4)\n(0 1)\n"
@@ -316,9 +317,11 @@ def test_run_restores_default_limits(tmp_path):
                        enumeration_bound=777, output=str(tmp_path / "info.txt"))
     assert run(config) == 0
     assert pg.DEFAULT_LIMITS == before
+    assert current() is pg.DEFAULT_LIMITS
     with pytest.raises(InputError):
         run(replace(config, corpus="nonesuch"))
     assert pg.DEFAULT_LIMITS == before
+    assert current() is pg.DEFAULT_LIMITS
 
 
 @pytest.mark.parametrize("command", [

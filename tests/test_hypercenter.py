@@ -150,7 +150,8 @@ def test_report_serialization_deterministic():
 
 def test_resource_error_recorded_not_fatal():
     tight = pg.Limits(enumeration=10_000, lattice=10, semidirect_degree=10_000)
-    reports = pg.verify_theorem1([pg.symmetric(4)], pg.NILPOTENT, limits=tight)
+    with pg.limits_scope(tight):
+        reports = pg.verify_theorem1([pg.symmetric(4)], pg.NILPOTENT)
     assert len(reports) == 1
     assert reports[0].error is not None and "10" in reports[0].error
 

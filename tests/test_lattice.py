@@ -41,16 +41,16 @@ def test_lattice_contains_trivial_and_ambient():
 
 def test_lattice_bound_error():
     G = pg.symmetric(5)
-    with pytest.raises(ResourceLimitError) as err:
-        pg.SubgroupLattice(G, pg.Limits(lattice=100))
+    with pg.limits_scope(pg.Limits(lattice=100)), pytest.raises(ResourceLimitError) as err:
+        pg.SubgroupLattice(G)
     assert "100" in str(err.value)
 
 
 def test_lattice_cache_honours_limits():
     G = pg.symmetric(4)
     assert pg.all_subgroups(G).node_count() == 30
-    with pytest.raises(ResourceLimitError) as err:
-        pg.all_subgroups(G, pg.Limits(lattice=10))
+    with pg.limits_scope(pg.Limits(lattice=10)), pytest.raises(ResourceLimitError) as err:
+        pg.all_subgroups(G)
     assert "10" in str(err.value)
 
 
@@ -60,8 +60,8 @@ def test_element_caches_honour_limits():
     assert len(G.element_set()) == 120
     assert len(G.conjugacy_classes()) == 7
     for cached in (G.elements, G.element_set, G.conjugacy_classes):
-        with pytest.raises(ResourceLimitError) as err:
-            cached(10)
+        with pg.limits_scope(pg.Limits(enumeration=10)), pytest.raises(ResourceLimitError) as err:
+            cached()
         assert "10" in str(err.value)
 
 
