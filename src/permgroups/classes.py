@@ -262,9 +262,17 @@ def _accept_nilpotent(order: int, nilpotent: bool) -> bool | None:
     return True if nilpotent else None
 
 
+def _nilpotent_or_simple_section(order: int, nilpotent: bool) -> bool | None:
+    # a non-nilpotent N*- or Nca-group has a non-abelian simple section, whose
+    # order 4 and at least three primes divide (see the lattice docstring)
+    if nilpotent:
+        return True
+    return None if order % 4 == 0 and len(prime_divisors(order)) >= 3 else False
+
+
 # verdicts on lattice nodes' masks (lattice.MASK_RULES); user classes get none
 MASK_RULES[NILPOTENT] = lambda order, nilpotent: nilpotent
-MASK_RULES[QUASINILPOTENT] = MASK_RULES[NCA] = _accept_nilpotent
+MASK_RULES[QUASINILPOTENT] = MASK_RULES[NCA] = _nilpotent_or_simple_section
 MASK_RULES[ALL_GROUPS] = lambda order, nilpotent: True
 
 

@@ -336,14 +336,6 @@ class Quotient:
             gens.append(Permutation._unchecked(images))
         self.group = PermGroup(count, gens)
 
-    def coset_index(self, g: Permutation) -> int:
-        if self._coset_of is None:
-            raise InputError("coset indices are not materialized for a trivial kernel")
-        idx = self._coset_of.get(g.images)
-        if idx is None:
-            raise InputError("element does not belong to the ambient group")
-        return idx
-
     def project(self, g: Permutation) -> Permutation:
         if self._coset_of is None:
             return g

@@ -28,9 +28,21 @@ Class membership of a node is read off its mask where the class allows.  H is
 nilpotent iff its Sylow subgroups are normal (Robinson 5.2.4), iff it has
 exactly |H|_p p-elements for each prime p; it has at least that many, so the
 test is that the popcounts of H's mask with one p-element mask per prime
-multiply to |H|.  N is decided so, Np:p by |H| alone, all always; N*, Nca and
-every quasi-F class accept nilpotent nodes.  Other verdicts, and all of a
-user-built class's, come from ``X.member`` on the orbit representative.
+multiply to |H|.  N is decided so, Np:p by |H| alone, all always; every
+quasi-F class accepts nilpotent nodes.
+
+N* and Nca also reject, by |H| alone, a non-nilpotent node unless 4 and at
+least three primes divide |H|.  In both classes an abelian chief factor is
+central (for N*: an N-central chief factor is central, and the inner
+automorphisms of an abelian one are trivial).  So a soluble member is
+nilpotent, and a non-nilpotent member has a non-abelian simple composition
+factor S, |S| dividing |H|.  Three primes divide |S| by Burnside's p^a q^b
+theorem (Robinson 8.5.3).  |S| is even by Feit-Thompson's odd order theorem,
+and 4 divides it, since a group with cyclic Sylow 2-subgroups has a normal
+2-complement (Robinson 10.1.9).  The rule does not hold for a general
+quasi-F class, whose soluble members are the soluble F-groups.  Other
+verdicts, and all of a user-built class's, come from ``X.member`` on the
+orbit representative.
 """
 
 from __future__ import annotations

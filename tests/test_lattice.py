@@ -6,6 +6,7 @@ import pytest
 
 import permgroups as pg
 from permgroups.errors import ResourceLimitError
+from permgroups.lattice import MASK_RULES
 from permgroups.primes import is_prime
 
 from conftest import brute_subgroups, elementwise_closure_mask, naive_lattice
@@ -244,12 +245,51 @@ def test_class_membership_matches_member_on_standard(standard):
             assert fast == slow, (G.name, X.name)
 
 
-@pytest.mark.parametrize("X", [pg.NILPOTENT, pg.p_groups(2), pg.ALL_GROUPS],
+def test_order_rule_matches_member_on_ext_pool():
+    # every non-nilpotent orbit the N*/Nca rule decides by its order alone,
+    # checked against X.member (nilpotent nodes: the standard oracle above),
+    # on the extended direct products outside standard of order 101..150
+    standard = {G.name for G in pg.standard_corpus()}
+    pool = [G for G in pg.extended_corpus()
+            if G.name not in standard and 100 < G.order <= 150]
+    decided = 0
+    for G in pool:
+        lattice = pg.SubgroupLattice(G)
+        masks = lattice.masks
+        for X in (pg.QUASINILPOTENT, pg.NCA):
+            for orbit in lattice.conjugation_orbits:
+                mask = masks[orbit[0]]
+                if lattice._is_nilpotent(mask):
+                    continue
+                verdict = MASK_RULES[X](mask.bit_count(), False)
+                if verdict is not None:
+                    decided += 1
+                    assert verdict == X.member(lattice.node(orbit[0])), (G.name, X.name)
+    assert decided == 1780
+
+
+@pytest.mark.parametrize("X", [pg.NILPOTENT, pg.p_groups(2), pg.ALL_GROUPS,
+                               pg.QUASINILPOTENT, pg.NCA],
                          ids=lambda x: x.name)
 def test_mask_decided_classes_build_no_subgroups(X):
     lattice = pg.SubgroupLattice(pg.symmetric(4))
     lattice.class_membership(X)
     assert lattice._nodes == [None] * lattice.node_count()
+
+
+@pytest.mark.parametrize("X", [pg.QUASINILPOTENT, pg.NCA], ids=lambda x: x.name)
+def test_only_a5_itself_reaches_member_on_a5(X):
+    # S3, D10 and A4 are rejected by their order, the rest are nilpotent
+    lattice = pg.SubgroupLattice(pg.alternating(5))
+    assert lattice.class_membership(X)[-1]
+    built = [i for i, sub in enumerate(lattice._nodes) if sub is not None]
+    assert built == [lattice.node_count() - 1]
+
+
+def test_quasi_classes_keep_soluble_non_nilpotent_nodes():
+    # the N*/Nca order rule must not reach a general quasi-F class
+    lattice = pg.SubgroupLattice(pg.symmetric(4))
+    assert all(lattice.class_membership(pg.quasi_class(pg.ALL_GROUPS)))
 
 
 def test_user_class_membership_called_once_per_orbit():
