@@ -15,18 +15,14 @@ from .groups import (
     PermGroup,
     Quotient,
     Subgroup,
-    automorphism_permutation,
     center,
     centralizer,
     commutator_subgroup,
     direct_product,
-    group_from_generators,
     join_subgroups,
     normal_closure,
     quotient_group,
-    semidirect_product,
     subgroup_from_elements,
-    trivial_action,
     upper_central_series,
 )
 from .named import (
@@ -49,7 +45,6 @@ from .chiefs import (
     inner_induction_subgroup,
     minimal_normal_subgroups,
     normal_subgroups,
-    semisimple_decomposition,
 )
 from .classes import (
     ABELIAN,

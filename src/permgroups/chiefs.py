@@ -44,11 +44,9 @@ class ChiefFactor:
             self.cosets: tuple[Permutation, ...] = upper.elements()
             self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
             self.factor: PermGroup = upper
-            self._regular = False
         else:
             Q = Quotient(upper, lower)
             self.cosets, self._coset_of, self.factor = Q.reps, Q._coset_of, Q.group
-            self._regular = True
 
         # action of G's generators on the cosets, by conjugation
         self.action: dict[Permutation, Permutation] = {
@@ -310,11 +308,11 @@ def all_generators_induce_inner(cf: ChiefFactor) -> bool:
 
 
 def factor_semidirect(cf: ChiefFactor) -> PermGroup:
-    """(H/K) x| G/C_G(H/K), realized faithfully on the factor's element set.
+    """(H/K) x| G/C_G(H/K), realized faithfully on the cosets of K in H.
 
-    The acting group is the conjugation image of G, which is faithful on the
-    factor by construction, so the translations of H/K together with the
-    action images generate a group of order |H/K| * |G : C_G(H/K)|.
+    H/K acts by right translation of the cosets, and G by its conjugation
+    action, whose kernel is C_G(H/K).  The two generate a group of order
+    |H/K| * |G : C_G(H/K)|.
     """
     lim = current()
     n = cf.factor.order
@@ -328,25 +326,12 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     cached = cf._cache.get("factor_semidirect")
     if cached is not None:
         return cached
-    elems = cf.factor.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    # element <-> coset identification (regular action from the identity coset)
-    if cf._regular:
-        elem_to_coset = [e.images[0] for e in elems]
-    else:
-        elem_to_coset = [cf.factor_coset_of_element(e) for e in elems]
-    coset_to_elem = [0] * n
-    for e_idx, c_idx in enumerate(elem_to_coset):
-        coset_to_elem[c_idx] = e_idx
-
-    gens: list[Permutation] = []
-    for fgen in cf.factor.generators:
-        gens.append(Permutation._unchecked(tuple(index[e * fgen] for e in elems)))
-    for sigma in cf.action.values():
-        images = tuple(
-            coset_to_elem[sigma.images[elem_to_coset[x]]] for x in range(n)
-        )
-        gens.append(Permutation._unchecked(images))
+    coset_of = cf._coset_of
+    gens = [
+        Permutation._unchecked(tuple(coset_of[(c * h).images] for c in cf.cosets))
+        for h in cf.upper.generators
+    ]
+    gens.extend(cf.action.values())
     product = PermGroup(n, gens)
     cf._cache["factor_semidirect"] = product
     return product
@@ -387,53 +372,3 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     out = sorted(normals.values(), key=lambda N: (N.order, _encoding(N)))
     G._cache[result_key] = tuple(out)
     return list(out)
-
-
-def semisimple_decomposition(G: PermGroup, N: Subgroup) -> list[Subgroup]:
-    """Express a semisimple non-abelian normal subgroup N as an internal
-    direct product of minimal normal subgroups of G."""
-    conj = [(g.inverse(), g) for g in G.generators]
-    for n in N.generators:
-        for g_inv, g in conj:
-            if not N.contains(g_inv * n * g):
-                raise PreconditionError("N is not normal in G")
-    _require_semisimple(N)
-    chosen: list[Subgroup] = []
-    current = G.trivial_subgroup()
-    for M in minimal_normal_subgroups(G):
-        if current.order == N.order:
-            break
-        if not all(N.contains(g) for g in M.generators):
-            continue
-        joined = join_subgroups(G, current, M)
-        if joined.order == current.order * M.order:
-            chosen.append(M)
-            current = joined
-    if current.order != N.order or not all(N.contains(g) for g in current.generators):
-        raise PreconditionError(
-            "N is not the direct product of minimal normal subgroups of G"
-        )
-    return chosen
-
-
-def _require_semisimple(N: Subgroup) -> None:
-    if N.is_abelian():
-        raise PreconditionError("N is abelian, not a product of non-abelian simples")
-    parts = minimal_normal_subgroups(N)
-    total = 1
-    orders = set()
-    for part in parts:
-        if part.is_abelian():
-            raise PreconditionError("N has an abelian minimal normal subgroup")
-        sub_mns = minimal_normal_subgroups(part)
-        if len(sub_mns) != 1 or sub_mns[0].order != part.order:
-            raise PreconditionError("a minimal normal subgroup of N is not simple")
-        orders.add(part.order)
-        total *= part.order
-    if len(orders) != 1 or total != N.order:
-        raise PreconditionError(
-            "N is not a direct product of isomorphic non-abelian simple groups"
-        )
-    joined = join_subgroups(N, *parts)
-    if joined.order != N.order:
-        raise PreconditionError("the simple factors of N do not generate it")

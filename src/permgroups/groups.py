@@ -8,7 +8,7 @@ stabilizer chain is built eagerly), so any value can be shared freely.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -78,10 +78,10 @@ class PermGroup:
             self._cache["abelian"] = val
         return val
 
-    def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple; every call checks the enumeration
-        bound in effect, or ``limit`` in its place."""
-        bound = current().enumeration if limit is None else limit
+        bound in effect."""
+        bound = current().enumeration
         if self.order > bound:
             raise ResourceLimitError(
                 f"group order {self.order} exceeds enumeration bound {bound}"
@@ -204,13 +204,6 @@ def walk_classes(
 # -- subgroup helpers ------------------------------------------------------
 
 
-def group_from_generators(
-    degree: int, gens: Iterable[Permutation], name: str | None = None
-) -> PermGroup:
-    """Construct a group from explicit generators (empty set gives the trivial group)."""
-    return PermGroup(degree, gens, name=name)
-
-
 def subgroup_from_elements(
     G: PermGroup, elements: Iterable[Permutation], name: str | None = None
 ) -> Subgroup:
@@ -319,14 +312,11 @@ class Quotient:
             return idx
 
         register(Permutation.identity(ambient.degree))
-        queue = [reps[0]]
-        while queue:
-            rep = queue.pop(0)
+        for rep in reps:  # breadth first: register appends to reps
             for g in ambient.generators:
                 t = rep * g
                 if t.images not in coset_of:
                     register(t)
-                    queue.append(t)
         self.reps = tuple(reps)
         self._coset_of = coset_of
         count = len(reps)
@@ -394,83 +384,6 @@ def direct_product(A: PermGroup, B: PermGroup, name: str | None = None) -> PermG
     if name is None and A.name and B.name:
         name = f"{A.name}x{B.name}"
     return PermGroup(A.degree + B.degree, gens, name=name)
-
-
-def automorphism_permutation(
-    N: PermGroup, func: Callable[[Permutation], Permutation]
-) -> Permutation:
-    """Encode an automorphism of N as a permutation of N's sorted element list."""
-    elems = N.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    images = []
-    for e in elems:
-        img = func(e)
-        if img not in index:
-            raise InputError("function does not map the group onto itself")
-        images.append(index[img])
-    return Permutation(images)
-
-
-def trivial_action(N: PermGroup, H: PermGroup) -> dict:
-    ident = Permutation.identity(len(N.elements()))
-    return {h: ident for h in H.generators}
-
-
-def semidirect_product(
-    N: PermGroup,
-    H: PermGroup,
-    action: Mapping[Permutation, Permutation],
-    name: str | None = None,
-) -> PermGroup:
-    """External semidirect product N x| H.
-
-    ``action`` maps each generator of H to an automorphism of N encoded as a
-    permutation of N's sorted element list (see automorphism_permutation).
-    The generator images must extend to a homomorphism H -> Aut(N); that is
-    the caller's contract and is not machine-checked beyond the generator-pair
-    tests below.
-
-    The result is realized on N's element set together with H's own points,
-    so it is faithful for the full product even when the action has a kernel;
-    a trivial action therefore reproduces the direct product N x H.
-    """
-    lim = current()
-    if N.order > lim.semidirect_degree:
-        raise ResourceLimitError(
-            f"semidirect realization needs {N.order} points, "
-            f"exceeding the degree bound {lim.semidirect_degree}"
-        )
-    elems = N.elements(max(lim.enumeration, N.order))
-    index = {e: i for i, e in enumerate(elems)}
-    npts = len(elems)
-    id_idx = index[Permutation.identity(N.degree)]
-
-    gens: list[Permutation] = []
-    for ngen in N.generators:
-        translation = tuple(index[e * ngen] for e in elems)
-        gens.append(Permutation._unchecked(translation + tuple(npts + k for k in range(H.degree))))
-
-    for hgen in H.generators:
-        phi = action.get(hgen)
-        if phi is None:
-            raise InputError(f"action is missing an image for generator {hgen!r}")
-        if not isinstance(phi, Permutation) or phi.degree != npts:
-            raise InputError("action images must be permutations of N's element list")
-        if phi.images[id_idx] != id_idx:
-            raise PreconditionError("action image does not fix the identity element")
-        for a in N.generators:
-            for b in N.generators:
-                lhs = phi.images[index[a * b]]
-                rhs = index[elems[phi.images[index[a]]] * elems[phi.images[index[b]]]]
-                if lhs != rhs:
-                    raise PreconditionError(
-                        "action image is not an automorphism on a generator pair"
-                    )
-        gens.append(
-            Permutation._unchecked(phi.images + tuple(npts + v for v in hgen.images))
-        )
-
-    return PermGroup(npts + H.degree, gens, name=name)
 
 
 # -- series -------------------------------------------------------------------

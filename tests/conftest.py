@@ -5,8 +5,10 @@ join machinery: closure is plain breadth-first multiplication, subgroup
 enumeration is add-one-element closure, nilpotency is the normal-Sylow
 criterion, ``naive_lattice`` is the lattice join loop rebuilt without
 its shortcuts, ``elementwise_closure_mask`` is a lattice join grown one
-element at a time, ``naive_factor_centralizer`` tests every element of G and
-``naive_minimal_normal_subgroups`` compares full element sets.  Expected values asserted in the tests were computed with these
+element at a time, ``naive_factor_centralizer`` tests every element of G,
+``element_semidirect`` builds the chief factor's semidirect product on
+the factor's elements and ``naive_minimal_normal_subgroups`` compares full
+element sets.  Expected values asserted in the tests were computed with these
 oracles and then frozen.
 """
 
@@ -210,6 +212,41 @@ def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset
         if all(coset_of[(g_inv * h * g).images] == c for h, c in gen_cosets):
             passing.append(g)
     return pg.subgroup_from_elements(cf.ambient, passing), frozenset(passing)
+
+
+def factor_element_cosets(cf: pg.ChiefFactor) -> list[int]:
+    """The coset of K in H that each element of the factor H/K stands for,
+    in the factor's sorted element order.
+
+    When K = 1 the factor is H and its elements are the cosets themselves;
+    otherwise the factor acts regularly on the cosets, and element e stands
+    for the image of the identity coset, ``e.images[0]``.
+    """
+    if cf.lower.is_trivial():
+        return [cf.factor_coset_of_element(e) for e in cf.factor.elements()]
+    return [e.images[0] for e in cf.factor.elements()]
+
+
+def element_semidirect(cf: pg.ChiefFactor) -> pg.PermGroup:
+    """(H/K) x| G/C_G(H/K) realized on the factor's sorted element list.
+
+    H/K acts by right multiplication of its elements, and G's coset action
+    is carried over to the elements by ``factor_element_cosets``: the
+    element-labelled construction, the reference for ``factor_semidirect``,
+    which builds the same group on the cosets.
+    """
+    elems = cf.factor.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    to_coset = factor_element_cosets(cf)
+    to_elem = [0] * len(elems)
+    for i, c in enumerate(to_coset):
+        to_elem[c] = i
+    gens = [Permutation([index[e * f] for e in elems]) for f in cf.factor.generators]
+    gens += [
+        Permutation([to_elem[sigma.images[c]] for c in to_coset])
+        for sigma in cf.action.values()
+    ]
+    return pg.PermGroup(len(elems), gens)
 
 
 def naive_minimal_normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:

@@ -1,5 +1,7 @@
 """Minimal normal subgroups, chief series/factors, inner induction,
-the factor semidirect product, and semisimple decomposition."""
+and the factor semidirect product."""
+
+import math
 
 import pytest
 
@@ -7,10 +9,16 @@ import permgroups as pg
 from permgroups import chiefs
 from permgroups.errors import PreconditionError
 from permgroups.groups import walk_classes
-from permgroups.perms import parse_permutation
+from permgroups.perms import Permutation, parse_permutation
 from permgroups.primes import is_prime
 
-from conftest import element_orders, naive_factor_centralizer, naive_minimal_normal_subgroups
+from conftest import (
+    element_orders,
+    element_semidirect,
+    factor_element_cosets,
+    naive_factor_centralizer,
+    naive_minimal_normal_subgroups,
+)
 
 
 def _v4_in_s4():
@@ -160,8 +168,8 @@ def test_factor_semidirect_v4_s4():
     assert element_orders(sd) == element_orders(S4)
 
 
-def test_factor_semidirect_order_formula():
-    for G in [pg.symmetric(4), pg.special_linear2(3), pg.symmetric(5)]:
+def test_factor_semidirect_order_formula(standard):
+    for G in standard:
         for cf in pg.chief_series(G).factors:
             sd = pg.factor_semidirect(cf)
             assert sd.order == cf.factor.order * (G.order // cf.centralizer.order)
@@ -187,16 +195,21 @@ def test_chief_factors_are_characteristically_simple():
                 p = F.elements()[1].order() if F.order > 1 else 1
                 assert all(e.order() in (1, p) for e in F.elements())
             else:
-                parts = pg.semisimple_decomposition(F, F.self_subgroup())
+                # a direct product of isomorphic simple groups: its minimal
+                # normal subgroups are simple, of one order, and fill F
+                parts = pg.minimal_normal_subgroups(F)
+                for m in parts:
+                    assert [n.order for n in pg.minimal_normal_subgroups(m)] == [m.order]
                 assert len({m.order for m in parts}) == 1
+                assert math.prod(m.order for m in parts) == F.order
 
 
 def test_semisimple_decomposition_examples():
     A5 = pg.alternating(5)
-    assert [m.order for m in pg.semisimple_decomposition(A5, A5.self_subgroup())] == [60]
+    assert [m.order for m in pg.minimal_normal_subgroups(A5)] == [60]
 
     A5A5 = pg.direct_product(pg.alternating(5), pg.alternating(5))
-    parts = pg.semisimple_decomposition(A5A5, A5A5.self_subgroup())
+    parts = pg.minimal_normal_subgroups(A5A5)
     assert [m.order for m in parts] == [60, 60]
     j = pg.join_subgroups(A5A5, *parts)
     assert j.order == 3600
@@ -208,19 +221,9 @@ def test_semisimple_decomposition_swap_product():
     swap = parse_permutation("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)
     G = pg.PermGroup(10, list(A5A5.generators) + [swap], name="(A5xA5):2")
     assert G.order == 7200
-    socle = G.subgroup(A5A5.generators)
-    parts = pg.semisimple_decomposition(G, socle)
+    parts = pg.minimal_normal_subgroups(G)
     assert [m.order for m in parts] == [3600]
-
-
-def test_semisimple_decomposition_rejects_bad_input():
-    S4 = pg.symmetric(4)
-    V4 = pg.normal_closure(S4, S4.subgroup([parse_permutation("(0 1)(2 3)", 4)]))
-    with pytest.raises(PreconditionError):
-        pg.semisimple_decomposition(S4, V4)  # abelian
-    A4 = S4.subgroup(pg.alternating(4).generators)
-    with pytest.raises(PreconditionError):
-        pg.semisimple_decomposition(S4, A4)  # not semisimple
+    assert parts[0] == G.subgroup(A5A5.generators)
 
 
 def test_jordan_hoelder_factor_order_multisets():
@@ -279,6 +282,28 @@ def test_factor_centralizer_matches_element_walk_semidirect(remark4_products):
     for P in remark4_products:
         for cf in pg.chief_series(P).factors:
             _assert_centralizer_matches_walk(cf)
+
+
+def test_factor_semidirect_relabels_element_construction(standard):
+    # the coset realization is the element-labelled one, point x renamed
+    # to the coset element x stands for; the same group when K = 1
+    factors = trivial_lower = 0
+    for G in standard:
+        for cf in pg.chief_series(G).factors:
+            reference = element_semidirect(cf).generators
+            to_coset = factor_element_cosets(cf)
+            relabelled = []
+            for g in reference:
+                images = [0] * len(to_coset)
+                for x, c in enumerate(to_coset):
+                    images[c] = to_coset[g.images[x]]
+                relabelled.append(Permutation(images))
+            assert tuple(relabelled) == pg.factor_semidirect(cf).generators
+            if cf.lower.is_trivial():
+                assert reference == pg.factor_semidirect(cf).generators
+                trivial_lower += 1
+            factors += 1
+    assert factors == 75 and 0 < trivial_lower < factors
 
 
 def test_factor_centralizer_named_cases():
