@@ -7,29 +7,34 @@ sifted: transversal entries never change, so a pair once sifted stays sifted
 moved points of the residues that fail sifting, orbits are explored
 breadth-first with generators in a fixed order, and no randomization is used
 anywhere, so the same generator list always yields the same chain.
+
+The chain holds image tuples (strong generators, transversal pairs (u, u^-1),
+residues) and composes them as ``p * q == itemgetter(*p)(q)``; only
+``elements()`` builds ``Permutation`` objects.  A chain with a level has
+degree at least 2, so no composition sees a degree-1 tuple.
 """
 
 from __future__ import annotations
 
 from math import prod
+from operator import itemgetter
 from typing import Sequence
 
-from .perms import Permutation
+from .perms import Permutation, inverse_images
 
 
 class _Level:
     __slots__ = ("point", "gens", "transversal", "sifted")
 
-    def __init__(self, point: int, identity: Permutation):
+    def __init__(self, point: int, identity: tuple):
         self.point = point
-        self.gens: list[Permutation] = []
+        self.gens: list[tuple] = []
         # orbit point -> (u, u^-1) with u(self.point) == orbit point
-        self.transversal: dict[int, tuple[Permutation, Permutation]] = {
-            point: (identity, identity)
-        }
-        # generator s -> k: the Schreier generators of s with the first k orbit
-        # points, in transversal order, sift to the identity
-        self.sifted: dict[Permutation, int] = {}
+        self.transversal: dict[int, tuple[tuple, tuple]] = {point: (identity, identity)}
+        # id of a stored generator s -> k: the Schreier generators of s with the
+        # first k orbit points, in transversal order, sift to the identity (stored
+        # generators are never dropped, so their ids stay theirs)
+        self.sifted: dict[int, int] = {}
 
 
 class StabilizerChain:
@@ -39,7 +44,7 @@ class StabilizerChain:
 
     def __init__(self, degree: int, generators: Sequence[Permutation] = ()):
         self.degree = degree
-        self._identity = Permutation.identity(degree)
+        self._identity = tuple(range(degree))
         self.levels: list[_Level] = []
         for g in generators:
             if not g.is_identity():
@@ -55,47 +60,49 @@ class StabilizerChain:
         return prod(len(lvl.transversal) for lvl in self.levels)
 
     def contains(self, p: Permutation) -> bool:
-        return self._sift(p, 0) is None
+        return self._sift(p.images, 0) is None
 
     def elements(self) -> list[Permutation]:
         """All group elements, as transversal products (deterministic order)."""
         elems = [self._identity]
         for lvl in reversed(self.levels):
             reps = [pair[0] for _, pair in sorted(lvl.transversal.items())]
-            elems = [e * u for e in elems for u in reps]
-        return elems
+            elems = [eu for e in elems for eu in map(itemgetter(*e), reps)]
+        return [Permutation._unchecked(e) for e in elems]
 
     # -- construction ------------------------------------------------------
 
-    def _sift(self, p: Permutation, start: int):
+    def _sift(self, p: tuple, start: int):
         """Strip p through levels >= start (p must fix the earlier base points).
 
         Returns None when p reduces to the identity (membership), otherwise
         the pair (residue, level index at which sifting failed); the index
         equals len(self.levels) when a new base point is required.
         """
-        if p.is_identity():
+        ident = self._identity
+        if p == ident:
             return None
         i = start
         for lvl in self.levels[start:]:
-            pair = lvl.transversal.get(p.images[lvl.point])
+            pair = lvl.transversal.get(p[lvl.point])
             if pair is None:
                 return p, i
-            p = p * pair[1]
-            if p.is_identity():
+            p = itemgetter(*p)(pair[1])
+            if p == ident:
                 return None
             i += 1
         return p, len(self.levels)
 
     def _add(self, g: Permutation) -> None:
-        res = self._sift(g, 0)
+        res = self._sift(g.images, 0)
         if res is not None:
             start = self._install(*res)
             self._stabilize(start)
 
-    def _install(self, residue: Permutation, level: int) -> int:
+    def _install(self, residue: tuple, level: int) -> int:
         if level == len(self.levels):
-            self.levels.append(_Level(residue.min_moved(), self._identity))
+            point = next(i for i, j in enumerate(residue) if i != j)
+            self.levels.append(_Level(point, self._identity))
         self.levels[level].gens.append(residue)
         return level
 
@@ -125,28 +132,27 @@ class StabilizerChain:
         when every Schreier generator sifts to the identity.
         """
         lvl = self.levels[i]
-        gens = []
-        for deeper in self.levels[i:]:
-            gens.extend(deeper.gens)
+        gens = [s for deeper in self.levels[i:] for s in deeper.gens]
         trans = lvl.transversal
         orbit = list(trans)
         for beta in orbit:  # grows while walked: breadth-first
             for s in gens:
-                gamma = s.images[beta]
+                gamma = s[beta]
                 if gamma not in trans:
-                    v = trans[beta][0] * s
-                    trans[gamma] = (v, v.inverse())
+                    v = itemgetter(*trans[beta][0])(s)
+                    trans[gamma] = (v, inverse_images(v))
                     orbit.append(gamma)
         sifted = lvl.sifted
         for s in gens:
-            for k in range(sifted.get(s, 0), len(orbit)):
+            times_s = itemgetter(*s)  # s * w for a tuple w
+            for k in range(sifted.get(id(s), 0), len(orbit)):
                 beta = orbit[k]
-                schreier = trans[beta][0] * s * trans[s.images[beta]][1]
+                schreier = itemgetter(*trans[beta][0])(times_s(trans[s[beta]][1]))
                 res = self._sift(schreier, i + 1)
                 if res is not None:
-                    sifted[s] = k + 1
+                    sifted[id(s)] = k + 1
                     return self._install(*res)
-            sifted[s] = len(orbit)
+            sifted[id(s)] = len(orbit)
         return None
 
     def forget_sifted(self) -> None:

@@ -62,10 +62,10 @@ class ChiefFactor:
 
     def action_of(self, g: Permutation) -> Permutation:
         """The permutation of the coset set induced by conjugation with g."""
-        g_inv = g.inverse()
+        pre, g_images = itemgetter(*g.inverse().images), g.images  # pre(x) = g^-1 * x
         coset_of = self._coset_of
         return Permutation._unchecked(
-            tuple(coset_of[(g_inv * rep * g).images] for rep in self.cosets)
+            tuple(coset_of[itemgetter(*pre(rep.images))(g_images)] for rep in self.cosets)
         )
 
     def _compute_centralizer(self) -> Subgroup:
@@ -163,12 +163,12 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
         G._cache[key] = ()
         return []
     candidates: list[Subgroup] = []
-    seen: set[Permutation] = set()
+    seen: set[tuple] = set()
     for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
         rep = cls[0]
         N = subgroup_from_elements(G, cls)  # <class of rep> = normal closure
         if is_prime(N.order):
-            seen.update(N.elements())
+            seen.update(e.images for e in N.elements())
         # N repeats a candidate iff one of its order holds rep (both are normal)
         if not any(c.order == N.order and c.contains(rep) for c in candidates):
             candidates.append(N)

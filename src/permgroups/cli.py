@@ -106,16 +106,16 @@ def format_group(G: PermGroup) -> str:
 def _load_group(path: str) -> PermGroup:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read group file {path!r}: {exc}") from None
     return parse_group_file(text, name=p.stem)
 
 
 def _load_corpus_file(path: Path) -> list[PermGroup]:
     try:
-        entries = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        entries = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise InputError(f"cannot read corpus spec {path}: {exc}") from None
     if not isinstance(entries, list):
         raise InputError("corpus spec must be a JSON list of entries")
@@ -267,7 +267,11 @@ def run(config: CliConfig) -> int:
     effect before are back when it returns or raises."""
     with scope(Limits(config.enumeration_bound, config.lattice_bound, config.semidirect_bound)):
         groups = _load_groups(config)
-        with open(config.output, "w") if config.output else nullcontext(sys.stdout) as sink:
+        try:
+            out = open(config.output, "w") if config.output else nullcontext(sys.stdout)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {config.output!r}: {exc}") from None
+        with out as sink:
             if config.command in SUITES:
                 class_name, sides, assert_equal = SUITES[config.command]
                 return _report_suite(run_suite(groups, class_name, sides),

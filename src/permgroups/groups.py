@@ -7,7 +7,7 @@ stabilizer chain is built eagerly), so any value can be shared freely.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
@@ -176,29 +176,32 @@ def walk_classes(
     G: PermGroup,
     elems: Iterable[Permutation],
     keep: Callable[[Permutation], bool],
-    seen: set[Permutation],
+    seen: set[tuple],
 ) -> Iterator[tuple[Permutation, ...]]:
     """The conjugacy classes of G met walking ``elems`` (G's sorted elements),
     each as a sorted tuple when its least member is reached.
 
-    Only the classes of elements passing ``keep`` are built.  Elements in
-    ``seen`` start no class; the caller may add to it between classes.
+    Only the classes of elements passing ``keep`` are built.  Elements whose
+    image tuples are in ``seen`` start no class; the caller may add to it
+    between classes.  Orbits are walked on image tuples: y^g is
+    ``itemgetter(*pre(y))(g.images)`` with ``pre = itemgetter(*g^-1.images)``.
     """
-    conj = [(g.inverse(), g) for g in G.generators]
-    for x in elems:
-        if x in seen or not keep(x):
+    conj = [(itemgetter(*g.inverse().images), g.images) for g in G.generators]
+    by_images = {x.images: x for x in elems}
+    for x, elem in by_images.items():
+        if x in seen or not keep(elem):
             continue
         orbit = {x}
         queue = [x]
         while queue:
             y = queue.pop()
-            for g_inv, g in conj:
-                z = g_inv * y * g
+            for pre, g in conj:
+                z = itemgetter(*pre(y))(g)
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
         seen |= orbit
-        yield tuple(sorted(orbit, key=_IMAGES))
+        yield tuple(by_images[z] for z in sorted(orbit))
 
 
 # -- subgroup helpers ------------------------------------------------------
@@ -300,15 +303,16 @@ class Quotient:
             self._coset_of: dict[tuple, int] | None = None
             return
         ambient.elements()  # enforce the bound before coset work
-        kernel_elems = kernel.elements()
+        # n * rep for each kernel element n, on image tuples
+        kernel_gets = [itemgetter(*n.images) for n in kernel.elements()]
         coset_of: dict[tuple, int] = {}
         reps: list[Permutation] = []
 
         def register(rep: Permutation) -> int:
             idx = len(reps)
             reps.append(rep)
-            for n in kernel_elems:
-                coset_of[(n * rep).images] = idx
+            for get in kernel_gets:
+                coset_of[get(rep.images)] = idx
             return idx
 
         register(Permutation.identity(ambient.degree))

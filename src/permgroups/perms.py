@@ -1,4 +1,9 @@
-"""Permutations of {0, ..., n-1} with left-to-right composition."""
+"""Permutations of {0, ..., n-1} with left-to-right composition.
+
+On image tuples a product is ``(p * q).images == itemgetter(*p.images)(q.images)``;
+the hot loops compose raw tuples that way (never of degree 1, where
+``itemgetter`` with one index returns a scalar) and wrap only their results.
+"""
 
 from __future__ import annotations
 
@@ -88,11 +93,7 @@ class Permutation:
         return Permutation._unchecked(itemgetter(*a)(b))
 
     def inverse(self) -> "Permutation":
-        images = self.images
-        inv = [0] * len(images)
-        for i, j in enumerate(images):
-            inv[j] = i
-        return Permutation._unchecked(tuple(inv))
+        return Permutation._unchecked(inverse_images(self.images))
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
         """Return g^-1 * self * g."""
@@ -109,12 +110,6 @@ class Permutation:
         if ident is None:
             ident = _IDENTITY_IMAGES[n] = tuple(range(n))
         return images == ident
-
-    def min_moved(self) -> int:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        raise InputError("identity permutation moves no point")
 
     def cycles(self, include_fixed: bool = False) -> list[list[int]]:
         """Disjoint cycles, each starting at its least point, sorted by it."""
@@ -154,6 +149,14 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({format_permutation(self)!r}, degree={self.degree})"
+
+
+def inverse_images(images: tuple) -> tuple:
+    """The image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 def format_permutation(p: Permutation) -> str:

@@ -107,6 +107,45 @@ def test_cli_exit_code_input_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["missing/report.jsonl", "."])
+def test_cli_unwritable_output_is_an_input_error(tmp_path, target):
+    # a missing directory, or a directory in place of the file
+    code, out, err = _run_cli(
+        ["info", "--corpus", "smoke", "--output", str(tmp_path / target)]
+    )
+    assert code == 2, err
+    assert err.startswith("input error: cannot write output file")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("option, content", [
+    ("--group", b"degree 2\n(0 1)\xff\n"),  # not UTF-8
+    ("--corpus", b"degree 2\n(0 1)\xff\n"),
+    ("--corpus", b"[" * 100000 + b"]" * 100000),  # nested beyond the recursion limit
+], ids=["group-not-utf8", "corpus-not-utf8", "corpus-too-deep"])
+def test_cli_unreadable_input_is_an_input_error(tmp_path, option, content):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(content)
+    code, out, err = _run_cli(["info", option, str(bad)])
+    assert code == 2, err
+    assert err.startswith("input error: cannot read")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "suite", ["verify-corollary", "verify-remark4", "verify-baer", "compare-nca"]
+)
+@pytest.mark.parametrize("text, order", [("degree 1\n", 1), ("degree 2\n(0 1)\n", 2)])
+def test_cli_suites_on_degree_one_and_two(tmp_path, suite, text, order):
+    # C2's quotients by itself have degree 1
+    grp = tmp_path / "tiny.grp"
+    grp.write_text(text)
+    code, out, err = _run_cli([suite, "--group", str(grp), "--no-timings"])
+    assert code == 0, err
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["order"] == order and record["equal"]
+
+
 def test_cli_exit_code_resource_bound():
     code, out, err = _run_cli(
         ["intersection", "--class", "N", "--corpus", "smoke", "--lattice-bound", "5"]
@@ -170,6 +209,7 @@ def test_cli_corpus_spec_rejects_duplicate_ids(tmp_path):
     {"path": 5},
     {"constructor": ["cyclic"], "args": [2]},
     {"id": ["X"], "constructor": "cyclic", "args": [2]},
+    {"path": "a\u0000b"},
 ])
 def test_cli_corpus_spec_rejects_malformed_entries(tmp_path, entry):
     spec = tmp_path / "corpus.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import permgroups as pg
 from permgroups.chain import StabilizerChain
 from permgroups.errors import InputError, PreconditionError, ResourceLimitError
+from permgroups.groups import walk_classes
 from permgroups.perms import Permutation, parse_permutation
 
 from conftest import closure_elements, element_orders
@@ -270,3 +271,86 @@ def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
         # the subgroup keeps it, so its base and transversals are the fresh
         # chain's, and no second chain is built
         assert H.chain is grown and len(built) == 1
+
+
+# -- the image-tuple kernel against Permutation products ----------------------
+
+
+def _product_coset_table(G, N):
+    """Quotient's coset representatives and table, from Permutation products
+    only: breadth first over G's generators, coset of rep = {n * rep}."""
+    reps, table = [], {}
+
+    def register(rep):
+        reps.append(rep)
+        for n in N.elements():
+            table[(n * rep).images] = len(reps) - 1
+
+    register(Permutation.identity(G.degree))
+    for rep in reps:
+        for g in G.generators:
+            if (rep * g).images not in table:
+                register(rep * g)
+    return reps, table
+
+
+def _product_classes(G):
+    """Conjugacy classes by breadth-first search over g^-1 * y * g."""
+    classes, seen = [], set()
+    for x in G.elements():
+        if x in seen:
+            continue
+        orbit, queue = {x}, [x]
+        while queue:
+            y = queue.pop()
+            for g in G.generators:
+                z = g.inverse() * y * g
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def test_tuple_kernel_matches_permutation_products(standard):
+    # the chain, the class walk, the coset tables and the coset action compose
+    # image tuples; each must equal its Permutation-product definition
+    for G in standard:
+        assert set(G.chain.elements()) == closure_elements(G.degree, G.generators)
+        walked = list(walk_classes(G, G.elements(), lambda x: True, set()))
+        assert walked == _product_classes(G)
+        own = {id(e) for e in G.elements()}
+        assert all(id(x) in own for cls in walked for x in cls)
+        series = pg.chief_series(G)
+        for K in series.terms:  # G/G has degree 1
+            Q = pg.quotient_group(G, K)
+            if K.is_trivial():
+                assert Q.group is G and Q._coset_of is None
+                continue
+            reps, table = _product_coset_table(G, K)
+            assert list(Q.reps) == reps and Q._coset_of == table
+        for cf in series.factors:
+            coset_of = cf._coset_of
+            for g in G.generators + G.elements()[:5]:
+                expected = [coset_of[(g.inverse() * rep * g).images] for rep in cf.cosets]
+                assert list(cf.action_of(g).images) == expected
+
+
+def test_degree_one_and_two_groups():
+    # itemgetter with one index returns a scalar: no degree-1 tuple may reach
+    # a composition
+    ident1 = Permutation.identity(1)
+    T = pg.PermGroup(1, [])
+    assert T.order == 1 and T.elements() == (ident1,) and T.contains(ident1)
+    assert T.chain.elements() == [ident1] and T.chain.base == ()
+    assert T.conjugacy_classes() == ((ident1,),)
+    assert pg.minimal_normal_subgroups(T) == [] and pg.chief_series(T).factors == ()
+    C2 = pg.cyclic(2)
+    Q = pg.quotient_group(C2, C2.self_subgroup())
+    assert Q.group.degree == 1 and Q.group.order == 1
+    assert Q.group.elements() == (ident1,) and Q.group.conjugacy_classes() == ((ident1,),)
+    assert [Q.project(g) for g in C2.elements()] == [ident1, ident1]
+    assert Q.lift(ident1) == Permutation.identity(2)
+    assert Q.lift_subgroup(Q.group) == C2
+    assert pg.upper_central_series(C2)[-1].order == 2
