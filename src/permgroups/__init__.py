@@ -44,7 +44,6 @@ from .chiefs import (
     induces_inner_automorphism,
     inner_induction_subgroup,
     minimal_normal_subgroups,
-    normal_subgroups,
 )
 from .classes import (
     ABELIAN,
@@ -72,7 +71,6 @@ from .hypercenter import (
     VerificationReport,
     compare_nca,
     hypercenter,
-    hypercenter_oracle,
     inner_induction_hypercenter,
     intersection_of_class_maximal,
     semidirect_hypercenter,

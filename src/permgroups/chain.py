@@ -8,9 +8,11 @@ moved points of the residues that fail sifting, orbits are explored
 breadth-first with generators in a fixed order, and no randomization is used
 anywhere, so the same generator list always yields the same chain.
 
-The chain holds image tuples (strong generators, transversal pairs (u, u^-1),
-residues) and composes them as ``p * q == itemgetter(*p)(q)``; only
-``elements()`` builds ``Permutation`` objects.  A chain with a level has
+The chain holds image tuples (strong generators with their inverses,
+transversal pairs (u, u^-1), residues) and composes them as
+``p * q == itemgetter(*p)(q)``; only ``elements()`` builds ``Permutation``
+objects.  A strong generator s is inverted once, when it is installed; a new
+transversal pair is composed, (u * s, s^-1 * u^-1), never inverted.  A chain with a level has
 degree at least 2, so no composition sees a degree-1 tuple.
 """
 
@@ -24,11 +26,12 @@ from .perms import Permutation, inverse_images
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "sifted")
+    __slots__ = ("point", "gens", "inverses", "transversal", "sifted")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list[tuple] = []
+        self.inverses: list[tuple] = []  # the inverse of each of gens
         # orbit point -> (u, u^-1) with u(self.point) == orbit point
         self.transversal: dict[int, tuple[tuple, tuple]] = {point: (identity, identity)}
         # id of a stored generator s -> k: the Schreier generators of s with the
@@ -104,6 +107,7 @@ class StabilizerChain:
             point = next(i for i, j in enumerate(residue) if i != j)
             self.levels.append(_Level(point, self._identity))
         self.levels[level].gens.append(residue)
+        self.levels[level].inverses.append(inverse_images(residue))
         return level
 
     def _stabilize(self, start: int) -> None:
@@ -132,18 +136,19 @@ class StabilizerChain:
         when every Schreier generator sifts to the identity.
         """
         lvl = self.levels[i]
-        gens = [s for deeper in self.levels[i:] for s in deeper.gens]
+        pairs = [pair for deeper in self.levels[i:] for pair in zip(deeper.gens, deeper.inverses)]
         trans = lvl.transversal
         orbit = list(trans)
         for beta in orbit:  # grows while walked: breadth-first
-            for s in gens:
+            for s, s_inv in pairs:
                 gamma = s[beta]
                 if gamma not in trans:
-                    v = itemgetter(*trans[beta][0])(s)
-                    trans[gamma] = (v, inverse_images(v))
+                    u, u_inv = trans[beta]
+                    # (u * s)^-1 == s^-1 * u^-1
+                    trans[gamma] = (itemgetter(*u)(s), itemgetter(*s_inv)(u_inv))
                     orbit.append(gamma)
         sifted = lvl.sifted
-        for s in gens:
+        for s, _ in pairs:
             times_s = itemgetter(*s)  # s * w for a tuple w
             for k in range(sifted.get(id(s), 0), len(orbit)):
                 beta = orbit[k]

@@ -335,40 +335,3 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     product = PermGroup(n, gens)
     cf._cache["factor_semidirect"] = product
     return product
-
-
-def normal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """Every normal subgroup of G (join closure of class normal closures)."""
-    result_key = cache_key("normal_subgroups")
-    cached = G._cache.get(result_key)
-    if cached is not None:
-        return list(cached)
-    seeds: list[Subgroup] = []
-    seen: set[frozenset] = set()
-    for cls in G.conjugacy_classes():
-        if cls[0].is_identity():
-            continue
-        N = subgroup_from_elements(G, cls)
-        key = N.element_set()
-        if key not in seen:
-            seen.add(key)
-            seeds.append(N)
-    normals: dict[frozenset, Subgroup] = {
-        G.trivial_subgroup().element_set(): G.trivial_subgroup()
-    }
-    worklist = list(seeds)
-    for s in seeds:
-        normals.setdefault(s.element_set(), s)
-    while worklist:
-        cur = worklist.pop()
-        for s in seeds:
-            if s.element_set() <= cur.element_set():
-                continue
-            J = join_subgroups(G, cur, s)
-            key = J.element_set()
-            if key not in normals:
-                normals[key] = J
-                worklist.append(J)
-    out = sorted(normals.values(), key=lambda N: (N.order, _encoding(N)))
-    G._cache[result_key] = tuple(out)
-    return list(out)

@@ -1,5 +1,6 @@
-"""X-hypercenter computation (greedy climb plus definitional oracle),
-intersections of X-maximal subgroups, and the verification suites.
+"""X-hypercenter computation (greedy climb, each step decided by the class's
+own test or on the definitional semidirect path), intersections of X-maximal
+subgroups, and the verification suites.
 """
 
 from __future__ import annotations
@@ -9,12 +10,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .chiefs import (
-    ChiefFactor,
-    all_generators_induce_inner,
-    minimal_normal_subgroups,
-    normal_subgroups,
-)
+from .chiefs import ChiefFactor, all_generators_induce_inner, minimal_normal_subgroups
 from .classes import (
     GroupClass,
     NCA,
@@ -119,43 +115,6 @@ def semidirect_hypercenter(G: PermGroup, X: GroupClass) -> Subgroup:
     (such as the N* inner-automorphism test) are checked."""
     Z, _ = _climb(G, lambda cf: is_class_central_semidirect(cf, X))
     return Z
-
-
-def hypercenter_oracle(G: PermGroup, X: GroupClass) -> Subgroup:
-    """Direct definition: the product of all X-hypercentral normal subgroups.
-
-    A normal subgroup is X-hypercentral when one (hence, by Jordan-Hoelder,
-    any) chief series of G below it has only X-central factors.  No greedy
-    shortcut: every normal subgroup is enumerated and walked.
-    """
-    hypercentral: list[Subgroup] = []
-    for N in normal_subgroups(G):
-        if _is_hypercentral_below(G, N, X):
-            hypercentral.append(N)
-    gens = []
-    for N in hypercentral:
-        gens.extend(N.generators)
-    return Subgroup(G, gens)
-
-
-def _is_hypercentral_below(G: PermGroup, N: Subgroup, X: GroupClass) -> bool:
-    K = G.trivial_subgroup()
-    while K.order < N.order:
-        Q = quotient_group(G, K)
-        Nbar = Q.group.subgroup([Q.project(g) for g in N.generators])
-        step = None
-        for mn in minimal_normal_subgroups(Q.group):
-            if all(Nbar.contains(g) for g in mn.generators):
-                step = mn
-                break
-        if step is None:  # cannot happen for a normal N; defensive
-            return False
-        H = Q.lift_subgroup(step)
-        cf = ChiefFactor(G, K, H)
-        if not is_class_central(cf, X):
-            return False
-        K = H
-    return True
 
 
 def intersection_of_class_maximal(G: PermGroup, X: GroupClass) -> Subgroup:

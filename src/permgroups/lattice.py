@@ -17,9 +17,21 @@ subgroup lies strictly between H and J.  A join <H, s> grows by whole right
 cosets of the orbit representative H (Dimino's algorithm; Butler,
 *Fundamental Algorithms for Permutation Groups*, §6): each coset times a
 generator is inside the union found so far or disjoint from it, so one
-element decides.  An element's right multiplication and conjugation arrays
-are composed from those of G's generators along its word, never from
-permutation products.
+element decides.  All joins over H share one table of its right cosets: the
+coset id of each element met, each coset's elements and its mask.  A join
+walks coset ids and ORs the masks of the cosets it finds; only a coset no
+earlier join over H met costs work per element, once.
+
+An element central in G fixes every mask and every seed under conjugation
+and, when it lies in H, every right coset of H (Hyh = Hhy = Hy).  So G's
+central generators are left out of the orbit closure, and H's out of the
+seed-class search and the coset closure; over an abelian G no mask is
+conjugated and no class is searched.  A seed inside a prime-index join over H
+is skipped before its class is searched, as the class lies in that join too.
+The centre is read off the conjugation arrays of G's generators, which, like
+their right multiplication arrays, come from image tuples; the arrays of any
+other element a join uses are composed from them along its word.  Each
+cyclic seed <x> is read off the powers of x's image tuple.
 
 Subgroups are identified by their element set, encoded as a bitmask over the
 sorted element list of the ambient group; generator lists are never compared.
@@ -50,13 +62,14 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import partial
+from itertools import compress
 from math import prod
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup, subgroup_from_elements
 from .limits import cache_key, current
-from .perms import Permutation
 from .primes import is_prime, is_prime_power, prime_divisors, smallest_prime_factor
 
 if TYPE_CHECKING:
@@ -65,8 +78,35 @@ if TYPE_CHECKING:
 #: built-in class -> rule(order, nilpotent): a node's verdict, or None to ask X
 MASK_RULES: dict[GroupClass, Callable[[int, bool], bool | None]] = {}
 
-# membership bytes <-> binary digits, for masks (bit x is element x)
-_BITS, _BYTES = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+# binary digits -> membership bytes, for masks (bit x is element x)
+_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+class _CosetTable:
+    """The right cosets Hy of one orbit representative H, shared by its joins."""
+
+    __slots__ = ("bits", "cols", "label", "cosets", "masks")
+
+    def __init__(self, cols: list[array], bits: list[int], mask: int):
+        n = len(bits)
+        member = bytes(format(mask, f"0{n}b")[::-1], "ascii").translate(_BYTES)
+        elems = list(compress(range(n), member))
+        self.bits = bits  # element x -> 1 << x
+        self.cols = cols  # right multiplication by H's non-central generators
+        self.label = [-1] * n  # element x -> id of the coset Hx, -1 until met
+        self.cosets = [elems]  # id -> elements, the first y with coset Hy
+        self.masks = [mask]  # id -> mask
+        for x in elems:
+            self.label[x] = 0
+
+    def add(self, coset: list[int]) -> int:
+        d = len(self.cosets)
+        label = self.label
+        for x in coset:
+            label[x] = d
+        self.cosets.append(coset)
+        self.masks.append(sum(map(self.bits.__getitem__, coset)))
+        return d
 
 
 class SubgroupLattice:
@@ -79,15 +119,19 @@ class SubgroupLattice:
             raise ResourceLimitError(f"subgroup lattice bound {bound} exceeded by group order {n}")
         self.ambient = ambient
         elems = self._elems = ambient.elements()
-        index = {e: i for i, e in enumerate(elems)}
+        index = {e.images: i for i, e in enumerate(elems)}
         self._n = n
-        identity_idx = self._identity_idx = index[Permutation.identity(ambient.degree)]
+        identity_idx = self._identity_idx = index[tuple(range(ambient.degree))]
         # right multiplication and conjugation by each generator of G
-        self._gen_columns, self._conj_arrays = [], []
-        for g in ambient.generators:
-            g_inv = g.inverse()
-            self._gen_columns.append(array("H", (index[e * g] for e in elems)))
-            self._conj_arrays.append(array("H", (index[g_inv * e * g] for e in elems)))
+        gens = [(g.images, itemgetter(*g.inverse().images)) for g in ambient.generators]
+        self._gen_columns = [array("H") for _ in gens]
+        self._conj_arrays = [array("H") for _ in gens]
+        for e in elems:
+            times = itemgetter(*e.images)  # e * q for an image tuple q
+            for (g, inv_times), col, conj in zip(gens, self._gen_columns, self._conj_arrays):
+                eg = times(g)
+                col.append(index[eg])
+                conj.append(index[inv_times(eg)])
         # breadth-first word tree: element x is word[x][0] times generator word[x][1]
         word: dict[int, tuple[int, int]] = {identity_idx: (identity_idx, 0)}
         queue = [identity_idx]
@@ -101,7 +145,7 @@ class SubgroupLattice:
         self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
         self._reset_caches()
-        gen_info, orbits = self._build()
+        gen_info, orbits = self._build(index)
         # the caches hold up to n arrays of n entries, and the lattice outlives them
         self._reset_caches()
         # node order: by (subgroup order, mask); deterministic
@@ -136,30 +180,34 @@ class SubgroupLattice:
             arr = cache[y] = array("H", map(step.__getitem__, arr))
         return arr
 
-    def _closure_mask(self, gen_idxs: tuple[int, ...], base: tuple[list[int], bytearray]) -> int:
-        """Mask of <gens>, given H = <gens[:-1]> as ``base`` (its elements and
-        membership bytes); returns the full mask early once |<gens>| > n/p_min.
+    def _closure_mask(self, gen_idxs: tuple[int, ...], table: _CosetTable) -> int:
+        """Mask of <gens>, given the right coset table of H = <gens[:-1]>;
+        returns the full mask early once |<gens>| > n/p_min.
 
-        Dimino's closure: a right coset C of H times a generator is again a
-        right coset of H, so it lies inside the union found so far or misses
-        it, and its first element decides which.  In a finite group the
-        submonoid generated by a set already is the generated subgroup, so
-        right multiplication by the generators alone suffices.
+        Dimino's closure on coset ids: a right coset Hy times a generator g
+        is the right coset H(yg), the coset labelled at yg, so it lies inside
+        the union found so far or misses it.  In a finite group the submonoid
+        generated by a set already is the generated subgroup, so right
+        multiplication by the generators alone suffices, and H's central
+        generators, which fix every right coset of H, are left out.
         """
-        cols = [self._column(g) for g in gen_idxs]
-        cosets, member = [base[0]], bytearray(base[1])
-        count = len(base[0])
-        for C in cosets:
+        label, cosets, masks = table.label, table.cosets, table.masks
+        cols = table.cols + [self._column(gen_idxs[-1])]
+        most = self._max_proper // len(cosets[0])  # cosets in a proper subgroup
+        found, inside = [0], {0}
+        for d in found:
+            y = cosets[d][0]
             for col in cols:
-                if not member[col[C[0]]]:
-                    count += len(C)
-                    if count > self._max_proper:
-                        return self._full_mask
-                    new = list(map(col.__getitem__, C))
-                    for x in new:
-                        member[x] = 1
-                    cosets.append(new)
-        return int(member[::-1].translate(_BITS), 2)
+                e = label[col[y]]
+                if e in inside:
+                    continue
+                if len(found) == most:
+                    return self._full_mask
+                if e < 0:
+                    e = table.add(list(map(col.__getitem__, cosets[d])))
+                inside.add(e)
+                found.append(e)
+        return sum(map(masks.__getitem__, found))
 
     def _conjugate_mask(self, mask: int, conj: array) -> int:
         new = 0
@@ -170,49 +218,44 @@ class SubgroupLattice:
             m ^= low
         return new
 
-    def _outside_seed_leaders(self, rep: int, gens: tuple[int, ...], seed_list, seed_of):
-        """First seed outside ``rep`` of each class of seeds under conjugation by <gens>."""
-        conjs = [self._conj(g) for g in gens]
-        seen = bytearray(len(seed_list))
-        for i, (mask, x) in enumerate(seed_list):
-            if seen[i] or mask & ~rep == 0:
-                continue
-            yield mask, x
-            seen[i] = 1
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for conj in conjs:
-                    j = seed_of[conj[y]]
-                    if not seen[j]:
-                        seen[j] = 1
-                        stack.append(seed_list[j][1])
-
-    def _build(self) -> tuple[dict[int, tuple[int, ...]], list]:
-        identity_idx = self._identity_idx
-        trivial_mask = 1 << identity_idx
-        full_mask = self._full_mask
-
-        # cyclic prime-power seeds, one per distinct subgroup, and p-element masks
+    def _cyclic_masks(self, index: dict[tuple, int]) -> dict[int, int]:
+        """The mask of <x> for each element x of prime-power order > 1, from
+        the powers of x's image tuple; sets the p-element masks."""
+        trivial_mask = 1 << self._identity_idx
         cyclic: dict[int, int] = {}
-        seeds: dict[int, int] = {}
         pmasks = self._pmasks = dict.fromkeys(prime_divisors(self._n), trivial_mask)
         for x, e in enumerate(self._elems):
             order = e.order()
-            if x == identity_idx or not is_prime_power(order):
+            if not is_prime_power(order):
                 continue
             pmasks[smallest_prime_factor(order)] |= 1 << x
-            mask = trivial_mask
-            col = self._column(x)
-            cur = x
-            while cur != identity_idx:
-                mask |= 1 << cur
-                cur = col[cur]
+            times = itemgetter(*e.images)  # x * q for an image tuple q
+            mask, power = trivial_mask | 1 << x, e.images
+            for _ in range(order - 2):
+                power = times(power)
+                mask |= 1 << index[power]
             cyclic[x] = mask
+        return cyclic
+
+    def _build(self, index: dict[tuple, int]) -> tuple[dict[int, tuple[int, ...]], list]:
+        trivial_mask = 1 << self._identity_idx
+        full_mask = self._full_mask
+        # the centre, and conjugation by the non-central generators of G
+        central = sum(1 << x for x in range(self._n)
+                      if all(conj[x] == x for conj in self._conj_arrays))
+        identity = array("H", range(self._n))
+        moving = [conj for conj in self._conj_arrays if conj != identity]
+
+        # cyclic prime-power seeds, one per distinct subgroup
+        cyclic = self._cyclic_masks(index)
+        seeds: dict[int, int] = {}
+        for x, mask in cyclic.items():
             seeds.setdefault(mask, x)
         seed_list = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         seed_pos = {mask: i for i, (mask, _) in enumerate(seed_list)}
         seed_of = {x: seed_pos[mask] for x, mask in cyclic.items()}
+        bits = [1 << x for x in range(self._n)]
+        seed_bits = [bits[x] for _, x in seed_list]
 
         gen_info: dict[int, tuple[int, ...]] = {trivial_mask: ()}
         orbits: list = [(trivial_mask,)]
@@ -225,7 +268,7 @@ class SubgroupLattice:
             while queue:
                 cur = queue.pop()
                 cur_gens = orbit[cur]
-                for arr in self._conj_arrays:
+                for arr in moving:
                     img = self._conjugate_mask(cur, arr)
                     if img not in orbit:
                         orbit[img] = tuple(arr[g] for g in cur_gens)
@@ -247,15 +290,32 @@ class SubgroupLattice:
             only_full = not any(d % order == 0 and d > order for d in divisors)
             if only_full and full_mask in gen_info:
                 continue
-            member = bytearray(format(rep, f"0{self._n}b")[::-1], "ascii").translate(_BYTES)
-            base = ([x for x, b in enumerate(member) if b], member)
-            leaders = self._outside_seed_leaders(rep, rep_gens, seed_list, seed_of)
-            covered = 0  # the joins found of prime index over rep
-            for _, seed_gen in leaders:
-                if covered >> seed_gen & 1:
+            # a central generator h of rep fixes every seed and every coset: Hyh = Hy
+            moving_gens = [g for g in rep_gens if not central >> g & 1]
+            if not only_full:
+                table = _CosetTable([self._column(g) for g in moving_gens], bits, rep)
+            # the first seed outside rep of each class of seeds under conjugation
+            # by rep, skipping seeds inside a join of prime index over rep found
+            # before; a seed's class lies in that join too
+            conjs = [self._conj(g) for g in moving_gens]
+            seen = bytearray(len(seed_list))
+            covered = rep  # rep and the joins found of prime index over it
+            for i, seed_bit in enumerate(seed_bits):
+                if covered & seed_bit or seen[i]:
                     continue
+                seed_gen = seed_list[i][1]
+                if conjs:
+                    seen[i] = 1
+                    stack = [seed_gen]
+                    while stack:
+                        y = stack.pop()
+                        for conj in conjs:
+                            j = seed_of[conj[y]]
+                            if not seen[j]:
+                                seen[j] = 1
+                                stack.append(seed_list[j][1])
                 gens = rep_gens + (seed_gen,)
-                joined = full_mask if only_full else self._closure_mask(gens, base)
+                joined = full_mask if only_full else self._closure_mask(gens, table)
                 if is_prime(joined.bit_count() // order):
                     covered |= joined
                 if joined not in gen_info:

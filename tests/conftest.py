@@ -7,9 +7,11 @@ criterion, ``naive_lattice`` is the lattice join loop rebuilt without
 its shortcuts, ``elementwise_closure_mask`` is a lattice join grown one
 element at a time, ``naive_factor_centralizer`` tests every element of G,
 ``element_semidirect`` builds the chief factor's semidirect product on
-the factor's elements and ``naive_minimal_normal_subgroups`` compares full
-element sets.  Expected values asserted in the tests were computed with these
-oracles and then frozen.
+the factor's elements, ``naive_minimal_normal_subgroups`` compares full
+element sets and ``hypercenter_oracle`` is the product of every
+X-hypercentral normal subgroup that ``normal_subgroups`` finds.  Expected
+values asserted in the tests were computed with these oracles and then
+frozen.
 """
 
 from __future__ import annotations
@@ -276,6 +278,76 @@ def naive_minimal_normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:
             minimal.append((key, N))
     minimal.sort(key=lambda kn: sorted(p.images for p in kn[0]))
     return [N for _, N in minimal]
+
+
+def normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:
+    """Every normal subgroup of G (join closure of class normal closures),
+    sorted by order and sorted-element encoding; cached on G."""
+    cached = G._cache.get("normal_subgroups_oracle")
+    if cached is not None:
+        return list(cached)
+    seeds: list[pg.Subgroup] = []
+    seen: set[frozenset] = set()
+    for cls in G.conjugacy_classes():
+        if cls[0].is_identity():
+            continue
+        N = pg.subgroup_from_elements(G, cls)
+        key = N.element_set()
+        if key not in seen:
+            seen.add(key)
+            seeds.append(N)
+    normals: dict[frozenset, pg.Subgroup] = {
+        G.trivial_subgroup().element_set(): G.trivial_subgroup()
+    }
+    worklist = list(seeds)
+    for s in seeds:
+        normals.setdefault(s.element_set(), s)
+    while worklist:
+        cur = worklist.pop()
+        for s in seeds:
+            if s.element_set() <= cur.element_set():
+                continue
+            J = pg.join_subgroups(G, cur, s)
+            key = J.element_set()
+            if key not in normals:
+                normals[key] = J
+                worklist.append(J)
+    out = sorted(normals.values(), key=lambda N: (N.order, tuple(p.images for p in N.elements())))
+    G._cache["normal_subgroups_oracle"] = tuple(out)
+    return out
+
+
+def hypercenter_oracle(G: pg.PermGroup, X: pg.GroupClass) -> pg.Subgroup:
+    """Direct definition: the product of all X-hypercentral normal subgroups.
+
+    A normal subgroup is X-hypercentral when one (hence, by Jordan-Hoelder,
+    any) chief series of G below it has only X-central factors.  No greedy
+    shortcut: every normal subgroup is enumerated and walked.
+    """
+    gens = []
+    for N in normal_subgroups(G):
+        if _is_hypercentral_below(G, N, X):
+            gens.extend(N.generators)
+    return pg.Subgroup(G, gens)
+
+
+def _is_hypercentral_below(G: pg.PermGroup, N: pg.Subgroup, X: pg.GroupClass) -> bool:
+    K = G.trivial_subgroup()
+    while K.order < N.order:
+        Q = pg.quotient_group(G, K)
+        Nbar = Q.group.subgroup([Q.project(g) for g in N.generators])
+        step = None
+        for mn in pg.minimal_normal_subgroups(Q.group):
+            if all(Nbar.contains(g) for g in mn.generators):
+                step = mn
+                break
+        if step is None:  # cannot happen for a normal N; defensive
+            return False
+        H = Q.lift_subgroup(step)
+        if not pg.is_class_central(pg.ChiefFactor(G, K, H), X):
+            return False
+        K = H
+    return True
 
 
 def nilpotent_oracle(G: pg.PermGroup) -> bool:

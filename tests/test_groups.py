@@ -80,6 +80,24 @@ def test_incremental_chains_match_closure(standard):
                 assert all(chain.contains(e) == (e in closure) for e in elems)
 
 
+def test_transversal_pairs_compose_to_identity(standard):
+    # u^-1 is composed as s^-1 * v^-1 for u = v * s, never inverted; every
+    # pair, and every stored strong generator with its inverse, must cancel,
+    # on each standard group and on the quotients of its chief series
+    for G in standard:
+        chains = [G.chain]
+        chains += [pg.quotient_group(G, K).group.chain for K in pg.chief_series(G).terms]
+        for chain in chains:
+            identity = tuple(range(chain.degree))
+            for lvl in chain.levels:
+                assert len(lvl.inverses) == len(lvl.gens)
+                for s, s_inv in zip(lvl.gens, lvl.inverses):
+                    assert Permutation(s) * Permutation(s_inv) == Permutation(identity)
+                for point, (u, u_inv) in lvl.transversal.items():
+                    assert u[lvl.point] == point
+                    assert Permutation(u) * Permutation(u_inv) == Permutation(identity)
+
+
 def test_chain_order_matches_closure_larger():
     # fixed spot checks below the 5000-element enumeration comfort zone
     A7 = pg.alternating(7)

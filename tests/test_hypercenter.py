@@ -5,6 +5,8 @@ import pytest
 import permgroups as pg
 from permgroups.errors import VerificationError
 
+from conftest import hypercenter_oracle
+
 
 def _a5xs3():
     return pg.direct_product(pg.alternating(5), pg.symmetric(3), name="A5xS3")
@@ -48,9 +50,9 @@ def test_hypercenter_stops_when_no_central_factor_remains():
 
 
 def test_hypercenter_oracle_examples():
-    assert pg.hypercenter_oracle(pg.cyclic(1), pg.NILPOTENT).is_trivial()
-    assert pg.hypercenter_oracle(pg.symmetric(4), pg.NILPOTENT).is_trivial()
-    assert pg.hypercenter_oracle(pg.special_linear2(5), pg.QUASINILPOTENT).order == 120
+    assert hypercenter_oracle(pg.cyclic(1), pg.NILPOTENT).is_trivial()
+    assert hypercenter_oracle(pg.symmetric(4), pg.NILPOTENT).is_trivial()
+    assert hypercenter_oracle(pg.special_linear2(5), pg.QUASINILPOTENT).order == 120
 
 
 def test_hypercenter_z_is_normal():
@@ -104,7 +106,7 @@ def test_verify_theorem1_spot_values():
     # NOTE: SL(2,3) is solvable non-nilpotent, hence not quasinilpotent, and
     # both sides equal its center of order 2 (oracle-confirmed below).
     assert [r.z_order for r in reports] == [1, 1, 60, 120, 60, 8, 2]
-    oracle = pg.hypercenter_oracle(pg.special_linear2(3), pg.QUASINILPOTENT)
+    oracle = hypercenter_oracle(pg.special_linear2(3), pg.QUASINILPOTENT)
     assert oracle.order == 2
 
 

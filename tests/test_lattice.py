@@ -7,9 +7,9 @@ import pytest
 import permgroups as pg
 from permgroups.errors import ResourceLimitError
 from permgroups.lattice import MASK_RULES
-from permgroups.primes import is_prime
+from permgroups.primes import is_prime, is_prime_power
 
-from conftest import brute_subgroups, elementwise_closure_mask, naive_lattice
+from conftest import brute_subgroups, closure_elements, elementwise_closure_mask, naive_lattice
 
 
 def test_all_subgroups_counts():
@@ -73,7 +73,11 @@ _DP = pg.direct_product
     "G",
     [pg.symmetric(4), pg.dihedral(12), _DP(pg.symmetric(3), pg.symmetric(3)),
      _DP(pg.symmetric(4), pg.cyclic(2)), _DP(pg.dihedral(8), pg.symmetric(3)),
-     pg.symmetric(5), _DP(pg.dihedral(8), pg.dihedral(8))],
+     pg.symmetric(5), _DP(pg.dihedral(8), pg.dihedral(8)),
+     # centre of order 2: a central generator next to non-central ones
+     pg.special_linear2(3),
+     # abelian: every generator central, no class search and no conjugate
+     _DP(pg.cyclic(8), pg.elementary_abelian(2, 2))],
     ids=lambda g: g.name,
 )
 def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
@@ -82,7 +86,7 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
     joins = []
     closure = pg.SubgroupLattice._closure_mask
     monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask",
-                        lambda self, gens, base: joins.append(gens) or closure(self, gens, base))
+                        lambda self, gens, table: joins.append(gens) or closure(self, gens, table))
     lattice = pg.SubgroupLattice(G)
     assert lattice._masks == masks
     assert lattice._gen_idxs == gen_idxs
@@ -104,19 +108,29 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
     prime_index_joins: dict[tuple, list[int]] = {}  # H's generators -> <H, s> of prime index
     closure = pg.SubgroupLattice._closure_mask
 
-    def checked(self, gens, base):
-        elems, member = base
-        before = bytes(member)
-        # base is H = <gens[:-1]>: its element list and membership bytes
-        assert sum(1 << x for x in elems) == elementwise_closure_mask(self, gens[:-1])
-        assert [x for x, b in enumerate(member) if b] == elems
+    def checked(self, gens, table):
+        # the table is H = <gens[:-1]>'s: coset 0 is H, cols are the columns of
+        # H's generators that are not central in G (a central one fixes every Hy)
+        H = table.cosets[0]
+        assert table.masks[0] == elementwise_closure_mask(self, gens[:-1])
+        assert sorted(H) == H and sum(1 << x for x in H) == table.masks[0]
+        identity = array("H", range(self._n))
+        assert table.cols == [self._column(g) for g in gens[:-1] if self._conj(g) != identity]
         # a seed inside a join of prime index over H found before is not joined
         found = prime_index_joins.setdefault(gens[:-1], [])
         assert not any(J >> gens[-1] & 1 for J in found)
-        mask = closure(self, gens, base)
+        mask = closure(self, gens, table)
         assert mask == elementwise_closure_mask(self, gens)
-        assert bytes(member) == before
-        if is_prime(mask.bit_count() // len(elems)):
+        # the table, shared by H's later joins, holds right cosets H.y only
+        labels = {}
+        for d, coset in enumerate(table.cosets):
+            times_y = self._column(coset[0])  # h -> h.y
+            assert sorted(coset) == sorted(times_y[h] for h in H)
+            assert table.masks[d] == sum(1 << x for x in coset)
+            labels.update(dict.fromkeys(coset, d))
+        assert len(labels) == len(H) * len(table.cosets)
+        assert table.label == [labels.get(x, -1) for x in range(self._n)]
+        if is_prime(mask.bit_count() // len(H)):
             found.append(mask)
         results.append(mask)
         return mask
@@ -129,14 +143,43 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
 
 
 def test_word_arrays_match_products():
-    G = pg.alternating(5)
-    lattice = pg.SubgroupLattice(G)
-    elems = G.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    for x, g in enumerate(elems):
-        assert lattice._column(x) == array("H", (index[e * g] for e in elems))
-        g_inv = g.inverse()
-        assert lattice._conj(x) == array("H", (index[g_inv * e * g] for e in elems))
+    # arrays built from image tuples and composed along words, and the
+    # cyclic seeds from powers, against Permutation products and closures
+    for G in (pg.alternating(5), _DP(pg.dihedral(8), pg.symmetric(3))):
+        lattice = pg.SubgroupLattice(G)
+        elems = G.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        for g, col, conj in zip(G.generators, lattice._gen_columns, lattice._conj_arrays):
+            assert col == array("H", (index[e * g] for e in elems))
+            assert conj == array("H", (index[g.inverse() * e * g] for e in elems))
+        for x, g in enumerate(elems):
+            assert lattice._column(x) == array("H", (index[e * g] for e in elems))
+            g_inv = g.inverse()
+            assert lattice._conj(x) == array("H", (index[g_inv * e * g] for e in elems))
+        cyclic = lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)})
+        prime_power = [x for x, e in enumerate(elems) if is_prime_power(e.order())]
+        assert sorted(cyclic) == prime_power
+        for x in prime_power:
+            expected = closure_elements(G.degree, [elems[x]])
+            assert cyclic[x] == sum(1 << index[e] for e in expected)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [pg.cyclic(12), pg.elementary_abelian(2, 3), _DP(pg.cyclic(8), pg.elementary_abelian(2, 2))],
+    ids=lambda g: g.name,
+)
+def test_abelian_build_conjugates_no_mask(G, monkeypatch):
+    # every generator of an abelian group is central and fixes every mask
+    calls = []
+    conjugate = pg.SubgroupLattice._conjugate_mask
+    monkeypatch.setattr(pg.SubgroupLattice, "_conjugate_mask",
+                        lambda self, mask, conj: calls.append(mask) or conjugate(self, mask, conj))
+    assert pg.SubgroupLattice(G).node_count() == len(brute_subgroups(G))
+    assert calls == []
+    # the counter sees the calls of a group with a non-central generator
+    pg.SubgroupLattice(pg.dihedral(8))
+    assert calls
 
 
 def test_maximal_subgroups_s4():

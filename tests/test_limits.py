@@ -89,8 +89,7 @@ def test_class_member_cache_honours_limits():
     pg.chief_series,
     lambda G: pg.chief_series(G, reverse_tiebreak=True),
     pg.minimal_normal_subgroups,
-    pg.normal_subgroups,
-], ids=["chief_series", "chief_series_rev", "minimal_normal_subgroups", "normal_subgroups"])
+], ids=["chief_series", "chief_series_rev", "minimal_normal_subgroups"])
 def test_normal_structure_caches_honour_limits(call):
     # a result cached under the default bounds is not served to a tighter
     # one, and is served again under the default bounds
