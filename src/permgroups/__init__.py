@@ -41,7 +41,6 @@ from .chiefs import (
     chief_factor,
     chief_series,
     factor_semidirect,
-    induces_inner_automorphism,
     inner_induction_subgroup,
     minimal_normal_subgroups,
 )

@@ -14,6 +14,13 @@ transversal pairs (u, u^-1), residues) and composes them as
 objects.  A strong generator s is inverted once, when it is installed; a new
 transversal pair is composed, (u * s, s^-1 * u^-1), never inverted.  A chain with a level has
 degree at least 2, so no composition sees a degree-1 tuple.
+
+A caller that knows a bound b >= |G|, G = <gens>, from a theorem passes it, and
+``_close`` sifts nothing once the orbit lengths multiply to b.  Level i's orbit
+lies in its base point's orbit under G_i, the stabilizer of the earlier base
+points, so prod |Delta_i| <= |G : G_{k+1}| <= |G| <= b, and equality makes every
+orbit whole and G_{k+1} trivial: the chain is complete, every Schreier generator
+left sifts to the identity, and the chain equals the unbounded one.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ class _Level:
 class StabilizerChain:
     """Base-and-strong-generators representation of a permutation group."""
 
-    __slots__ = ("degree", "levels", "_identity")
+    __slots__ = ("degree", "levels", "_identity", "_bound")
 
-    def __init__(self, degree: int, generators: Sequence[Permutation] = ()):
-        self.degree = degree
+    def __init__(self, degree: int, generators: Sequence[Permutation] = (), bound: int = 0):
+        self.degree, self._bound = degree, bound  # bound: see the module docstring
         self._identity = tuple(range(degree))
         self.levels: list[_Level] = []
         for g in generators:
@@ -147,6 +154,8 @@ class StabilizerChain:
                     # (u * s)^-1 == s^-1 * u^-1
                     trans[gamma] = (itemgetter(*u)(s), itemgetter(*s_inv)(u_inv))
                     orbit.append(gamma)
+        if self.order() == self._bound:  # complete: see the module docstring
+            return None
         sifted = lvl.sifted
         for s, _ in pairs:
             times_s = itemgetter(*s)  # s * w for a tuple w

@@ -7,12 +7,16 @@ cosets by automorphisms; its kernel is the centralizer C_G(H/K), and the
 preimage of the inner automorphisms is exactly H * C_G(H/K).  The kernel is
 found by point stabilizers of G's generators glued to that action, never by
 testing every element of G.
+
+Chief series are built on demand, one factor at a time, and cached as far as
+they got, so N* and Nca membership stop at the first failing factor.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterator
 
 from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -116,8 +120,8 @@ class ChiefFactor:
                     chain._add(head)
             gens = kept
         heads = [Permutation._unchecked(s.images[:n]) for s in gens]
-        kernel = G if chain is None else PermGroup(n, heads)
-        return subgroup_from_elements(G, kernel.elements())
+        kernel = G if chain is None else PermGroup(n, heads, _chain=chain)  # grown from heads
+        return subgroup_from_elements(G, kernel.elements(), _bound=kernel.order)
 
     def is_central(self) -> bool:
         return self.centralizer.order == self.ambient.order
@@ -132,13 +136,34 @@ class ChiefFactor:
 
 
 class ChiefSeries:
-    """An ascending chief series of G from the trivial subgroup to G."""
+    """An ascending chief series of G from the trivial subgroup to G.  Iterating
+    yields the factors, building each when first reached (one that raises is
+    not recorded); ``terms`` and ``factors`` finish the series."""
 
-    def __init__(self, ambient: PermGroup, terms: Iterable[Subgroup],
-                 factors: Iterable[ChiefFactor]):
-        self.ambient = ambient
-        self.terms = tuple(terms)
-        self.factors = tuple(factors)
+    def __init__(self, ambient: PermGroup, reverse_tiebreak: bool = False):
+        self.ambient, self._reverse = ambient, reverse_tiebreak
+        self._terms, self._factors = [ambient.trivial_subgroup()], []
+
+    def __iter__(self) -> Iterator[ChiefFactor]:
+        G, terms, factors = self.ambient, self._terms, self._factors
+        for i in count():
+            if i == len(factors):
+                if terms[-1].order == G.order:
+                    return
+                Q = quotient_group(G, terms[-1])
+                mns = minimal_normal_subgroups(Q.group)
+                H = Q.lift_subgroup(mns[-1] if self._reverse else mns[0])
+                factors.append(ChiefFactor(G, terms[-1], H))
+                terms.append(H)
+            yield factors[i]
+
+    @property
+    def terms(self) -> tuple[Subgroup, ...]:
+        return tuple(self._terms[: len(self.factors) + 1])  # factors finishes the series
+
+    @property
+    def factors(self) -> tuple[ChiefFactor, ...]:
+        return tuple(self)
 
     def factor_orders(self) -> tuple[int, ...]:
         return tuple(cf.factor.order for cf in self.factors)
@@ -166,11 +191,12 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     seen: set[tuple] = set()
     for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
         rep = cls[0]
-        N = subgroup_from_elements(G, cls)  # <class of rep> = normal closure
+        holding = [c.order for c in candidates if c.contains(rep)]  # each holds <<rep>>
+        N = subgroup_from_elements(G, cls, _bound=min(holding, default=G.order))  # <cls> = <<rep>>
         if is_prime(N.order):
             seen.update(e.images for e in N.elements())
         # N repeats a candidate iff one of its order holds rep (both are normal)
-        if not any(c.order == N.order and c.contains(rep) for c in candidates):
+        if N.order not in holding:
             candidates.append(N)
     candidates.sort(key=lambda s: s.order)
     minimal: list[Subgroup] = []
@@ -213,22 +239,18 @@ def chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
     is by least sorted element-set encoding (greatest when reverse_tiebreak),
     so the construction is deterministic.
     """
+    series = _chief_series(G, reverse_tiebreak)
+    for _ in series:  # build the factors not built yet
+        pass
+    return series
+
+
+def _chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
+    """G's chief series as far as it is built (cached under the bounds in effect)."""
     key = cache_key("chief_series_rev" if reverse_tiebreak else "chief_series")
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    terms = [G.trivial_subgroup()]
-    factors: list[ChiefFactor] = []
-    while terms[-1].order < G.order:
-        K = terms[-1]
-        Q = quotient_group(G, K)
-        mns = minimal_normal_subgroups(Q.group)
-        chosen = mns[-1] if reverse_tiebreak else mns[0]
-        H = Q.lift_subgroup(chosen)
-        factors.append(ChiefFactor(G, K, H))
-        terms.append(H)
-    series = ChiefSeries(G, terms, factors)
-    G._cache[key] = series
+    series = G._cache.get(key)
+    if series is None:
+        series = G._cache[key] = ChiefSeries(G, reverse_tiebreak)
     return series
 
 
@@ -262,26 +284,6 @@ def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
     return ChiefFactor(G, K, H)
 
 
-def induces_inner_automorphism(cf: ChiefFactor, g: Permutation) -> tuple[bool, Permutation | None]:
-    """Brute-force test: does g act on H/K as conjugation by some coset?
-
-    Returns (verdict, witness representative).  This scans the factor's
-    elements one by one; the subgroup shortcut is inner_induction_subgroup.
-    """
-    if not cf.ambient.contains(g):
-        raise InputError("element lies outside the ambient group")
-    sigma = cf.action_of(g)
-    coset_of = cf._coset_of
-    for c in cf.cosets:
-        c_inv = c.inverse()
-        if all(
-            coset_of[(c_inv * rep * c).images] == sigma.images[i]
-            for i, rep in enumerate(cf.cosets)
-        ):
-            return True, c
-    return False, None
-
-
 def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
     """All g in G acting on H/K as an inner automorphism.
 
@@ -300,8 +302,7 @@ def all_generators_induce_inner(cf: ChiefFactor) -> bool:
     """Does all of G act on H/K by inner automorphisms, i.e. G = H * C_G(H/K)?
 
     Inner-inducing elements form a subgroup (the preimage of Inn(H/K)), so
-    G's generators suffice; the brute-force per-element oracle is
-    induces_inner_automorphism.
+    G's generators suffice; the tests keep a brute-force per-element oracle.
     """
     iis = inner_induction_subgroup(cf)
     return all(iis.contains(g) for g in cf.ambient.generators)

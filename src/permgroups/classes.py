@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 from .chiefs import (
     ChiefFactor,
+    _chief_series,
     all_generators_induce_inner,
-    chief_series,
     factor_semidirect,
     minimal_normal_subgroups,
 )
@@ -171,14 +171,14 @@ def is_quasi_F(G: PermGroup, F: GroupClass) -> bool:
     """Every chief factor is F-central or has all of G inducing inner
     automorphisms on it.
 
-    Only one chief series is walked; the verdict is tie-break independent
-    by Jordan-Hoelder (asserted in tests).
+    Only one chief series is walked, up to the first failing factor; the
+    verdict is tie-break independent by Jordan-Hoelder (asserted in tests).
     """
     if not F.contains_nilpotent:
         raise InputError(
             f"quasi-{F.name} membership requires a class containing all nilpotent groups"
         )
-    for cf in chief_series(G).factors:
+    for cf in _chief_series(G):
         if all_generators_induce_inner(cf):
             continue
         if is_class_central(cf, F):
@@ -193,7 +193,7 @@ def is_quasinilpotent(G: PermGroup) -> bool:
 
 def is_nca_member(G: PermGroup) -> bool:
     """Abelian chief factors central, non-abelian chief factors simple."""
-    for cf in chief_series(G).factors:
+    for cf in _chief_series(G):
         if cf.factor_is_abelian():
             if not cf.is_central():
                 return False

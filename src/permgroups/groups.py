@@ -29,8 +29,9 @@ class PermGroup:
         name: str | None = None,
         *,
         _chain: StabilizerChain | None = None,
+        _bound: int = 0,
     ):
-        # _chain: a chain already grown from exactly these generators, kept as is
+        # _chain: a chain grown from exactly these generators; _bound: see StabilizerChain
         if degree < 1:
             raise InputError("group degree must be at least 1")
         gens: list[Permutation] = []
@@ -49,7 +50,7 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self.chain = StabilizerChain(degree, self.generators) if _chain is None else _chain
+        self.chain = StabilizerChain(degree, self.generators, _bound) if _chain is None else _chain
         self.chain.forget_sifted()  # the group never grows its chain
         self._cache: dict = {}
 
@@ -151,25 +152,14 @@ class Subgroup(PermGroup):
         name: str | None = None,
         *,
         _chain: StabilizerChain | None = None,
+        _bound: int = 0,
     ):
         generators = tuple(generators)
         for g in generators:
             if not ambient.contains(g):
                 raise InputError(f"generator {g!r} is not a member of the ambient group")
-        super().__init__(ambient.degree, generators, name=name, _chain=_chain)
+        super().__init__(ambient.degree, generators, name=name, _chain=_chain, _bound=_bound)
         self.ambient = ambient
-
-    def is_normal(self) -> bool:
-        val = self._cache.get("normal")
-        if val is None:
-            conj = [(s.inverse(), s) for s in self.ambient.generators]
-            val = all(
-                self.contains(s_inv * g * s)
-                for g in self.generators
-                for s_inv, s in conj
-            )
-            self._cache["normal"] = val
-        return val
 
 
 def walk_classes(
@@ -208,7 +198,7 @@ def walk_classes(
 
 
 def subgroup_from_elements(
-    G: PermGroup, elements: Iterable[Permutation], name: str | None = None
+    G: PermGroup, elements: Iterable[Permutation], name: str | None = None, *, _bound: int = 0
 ) -> Subgroup:
     """Subgroup generated by the given elements, with a reduced generating set.
 
@@ -217,12 +207,14 @@ def subgroup_from_elements(
     """
     gens: list[Permutation] = []
     # grown in place: the same _add sequence StabilizerChain(degree, gens) runs
-    chain = StabilizerChain(G.degree, ())
+    chain = StabilizerChain(G.degree, (), _bound)
     for e in sorted(set(elements), key=_IMAGES):
         if e.is_identity() or chain.contains(e):
             continue
         gens.append(e)
         chain._add(e)
+        if chain.order() == _bound:  # all of <elements>: every later one is contained
+            break
     return Subgroup(G, gens, name=name, _chain=chain)
 
 
@@ -306,29 +298,28 @@ class Quotient:
         # n * rep for each kernel element n, on image tuples
         kernel_gets = [itemgetter(*n.images) for n in kernel.elements()]
         coset_of: dict[tuple, int] = {}
-        reps: list[Permutation] = []
+        reps: list[tuple] = []
 
-        def register(rep: Permutation) -> int:
+        def register(rep: tuple) -> int:
             idx = len(reps)
             reps.append(rep)
             for get in kernel_gets:
-                coset_of[get(rep.images)] = idx
+                coset_of[get(rep)] = idx
             return idx
 
-        register(Permutation.identity(ambient.degree))
+        register(tuple(range(ambient.degree)))
+        columns: list[list[int]] = [[] for _ in ambient.generators]
         for rep in reps:  # breadth first: register appends to reps
-            for g in ambient.generators:
-                t = rep * g
-                if t.images not in coset_of:
-                    register(t)
-        self.reps = tuple(reps)
+            times = itemgetter(*rep)  # g's images -> rep * g's images
+            for g, column in zip(ambient.generators, columns):
+                t = times(g.images)
+                idx = coset_of.get(t)
+                column.append(register(t) if idx is None else idx)
+        self.reps = tuple(map(Permutation._unchecked, reps))
         self._coset_of = coset_of
-        count = len(reps)
-        gens = []
-        for g in ambient.generators:
-            images = tuple(coset_of[(rep * g).images] for rep in reps)
-            gens.append(Permutation._unchecked(images))
-        self.group = PermGroup(count, gens)
+        gens = [Permutation._unchecked(tuple(column)) for column in columns]
+        # regular on the cosets: level 0's orbit alone completes the chain
+        self.group = PermGroup(len(reps), gens, _bound=len(reps))
 
     def project(self, g: Permutation) -> Permutation:
         if self._coset_of is None:
@@ -346,7 +337,7 @@ class Quotient:
         """Full preimage in the ambient group of a subgroup of the quotient."""
         gens = list(self.kernel.generators)
         gens.extend(self.lift(q) for q in qsub.generators)
-        return Subgroup(self.ambient, gens, name=name)
+        return Subgroup(self.ambient, gens, name=name, _bound=self.kernel.order * qsub.order)
 
 
 def quotient_group(G: PermGroup, N: Subgroup) -> Quotient:

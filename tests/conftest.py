@@ -6,6 +6,7 @@ enumeration is add-one-element closure, nilpotency is the normal-Sylow
 criterion, ``naive_lattice`` is the lattice join loop rebuilt without
 its shortcuts, ``elementwise_closure_mask`` is a lattice join grown one
 element at a time, ``naive_factor_centralizer`` tests every element of G,
+``induces_inner_automorphism`` tries every coset as the inner automorphism,
 ``element_semidirect`` builds the chief factor's semidirect product on
 the factor's elements, ``naive_minimal_normal_subgroups`` compares full
 element sets and ``hypercenter_oracle`` is the product of every
@@ -214,6 +215,36 @@ def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset
         if all(coset_of[(g_inv * h * g).images] == c for h, c in gen_cosets):
             passing.append(g)
     return pg.subgroup_from_elements(cf.ambient, passing), frozenset(passing)
+
+
+def is_normal(S: pg.Subgroup) -> bool:
+    """Is S normal in its ambient group: does it hold every conjugate of its
+    generators by the ambient group's generators?"""
+    return all(
+        S.contains(g.inverse() * s * g) for s in S.generators for g in S.ambient.generators
+    )
+
+
+def induces_inner_automorphism(
+    cf: pg.ChiefFactor, g: Permutation
+) -> tuple[bool, Permutation | None]:
+    """Does g act on H/K as conjugation by some coset?  Brute force.
+
+    Returns (verdict, witness representative), scanning the factor's cosets
+    one by one; the production test is ``inner_induction_subgroup``.
+    """
+    if not cf.ambient.contains(g):
+        raise pg.InputError("element lies outside the ambient group")
+    sigma = cf.action_of(g)
+    coset_of = cf._coset_of
+    for c in cf.cosets:
+        c_inv = c.inverse()
+        if all(
+            coset_of[(c_inv * rep * c).images] == sigma.images[i]
+            for i, rep in enumerate(cf.cosets)
+        ):
+            return True, c
+    return False, None
 
 
 def factor_element_cosets(cf: pg.ChiefFactor) -> list[int]:

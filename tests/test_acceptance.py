@@ -12,7 +12,12 @@ import pytest
 import permgroups as pg
 from permgroups.perms import Permutation
 
-from conftest import brute_subgroups, hypercenter_oracle, nilpotent_oracle
+from conftest import (
+    brute_subgroups,
+    hypercenter_oracle,
+    induces_inner_automorphism,
+    nilpotent_oracle,
+)
 
 
 CLASSES = (pg.NILPOTENT, pg.QUASINILPOTENT, pg.NCA, pg.ABELIAN, pg.ALL_GROUPS)
@@ -138,7 +143,7 @@ def test_criterion_7_spot_values():
     # factor (brute force over all 60 inner automorphisms)
     assert pg.is_quasinilpotent(S5) is False
     from permgroups.perms import parse_permutation
-    ok, _ = pg.induces_inner_automorphism(
+    ok, _ = induces_inner_automorphism(
         series.factors[0], parse_permutation("(0 1)", 5)
     )
     assert not ok

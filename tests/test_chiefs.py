@@ -7,7 +7,7 @@ import pytest
 
 import permgroups as pg
 from permgroups import chiefs
-from permgroups.errors import PreconditionError
+from permgroups.errors import PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
 from permgroups.perms import Permutation, parse_permutation
 from permgroups.primes import is_prime
@@ -16,6 +16,7 @@ from conftest import (
     element_orders,
     element_semidirect,
     factor_element_cosets,
+    induces_inner_automorphism,
     naive_factor_centralizer,
     naive_minimal_normal_subgroups,
 )
@@ -102,12 +103,12 @@ def test_induces_inner_automorphism():
 
     # member of H: inner, with a witness
     member = parse_permutation("(0 1 2)", 5)
-    ok, witness = pg.induces_inner_automorphism(cf, member)
+    ok, witness = induces_inner_automorphism(cf, member)
     assert ok and witness is not None
 
     # transposition induces an outer automorphism of A5 (brute force over
     # all 60 inner automorphisms)
-    ok, witness = pg.induces_inner_automorphism(cf, parse_permutation("(0 1)", 5))
+    ok, witness = induces_inner_automorphism(cf, parse_permutation("(0 1)", 5))
     assert not ok and witness is None
 
 
@@ -115,9 +116,9 @@ def test_induces_inner_on_abelian_eccentric_factor():
     S4 = pg.symmetric(4)
     cf = pg.chief_series(S4).factors[0]  # V4
     # Inn of an abelian group is trivial: non-centralizing elements fail
-    ok, _ = pg.induces_inner_automorphism(cf, parse_permutation("(0 1 2)", 4))
+    ok, _ = induces_inner_automorphism(cf, parse_permutation("(0 1 2)", 4))
     assert not ok
-    ok, _ = pg.induces_inner_automorphism(cf, parse_permutation("(0 1)(2 3)", 4))
+    ok, _ = induces_inner_automorphism(cf, parse_permutation("(0 1)(2 3)", 4))
     assert ok
 
 
@@ -145,7 +146,7 @@ def test_inner_induction_subgroup_is_subgroup_and_consistent():
         assert iis.contains(a.inverse())
     # brute-force oracle agrees with membership on every group element
     for g in S5.elements():
-        ok, _ = pg.induces_inner_automorphism(cf, g)
+        ok, _ = induces_inner_automorphism(cf, g)
         assert ok == iis.contains(g)
     # contains H * C
     assert all(iis.contains(h) for h in cf.upper.generators)
@@ -238,6 +239,80 @@ def test_degenerate_trivial_group():
     assert pg.chief_series(triv).factors == ()
     assert pg.minimal_normal_subgroups(triv) == []
     assert pg.hypercenter(triv, pg.NILPOTENT).subgroup.order == 1
+
+
+def _record_chief_factors(monkeypatch) -> list:
+    built = []
+    init = chiefs.ChiefFactor.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(chiefs.ChiefFactor, "__init__", recording)
+    return built
+
+
+def _same_series(A, B) -> bool:
+    return A.factor_orders() == B.factor_orders() and [
+        t.element_set() for t in A.terms] == [t.element_set() for t in B.terms]
+
+
+def test_quasi_F_walk_stops_at_the_first_failing_factor(monkeypatch):
+    # (A5 x A5):2 from S5's A5 factor: S5's transpositions act outer on the
+    # first chief factor, so N* membership fails there and builds no other
+    cf = pg.chief_series(pg.symmetric(5)).factors[0]
+    P = pg.factor_semidirect(cf)
+    built = _record_chief_factors(monkeypatch)
+    assert pg.QUASINILPOTENT.member(P) is False
+    assert len(built) == 1
+    # a full request resumes the walked series, and equals a fresh copy's
+    series = pg.chief_series(P)
+    assert series.factors[0] is built[0] and len(built) == len(series.factors) == 3
+    fresh = pg.PermGroup(P.degree, P.generators)
+    for reverse in (False, True):
+        assert _same_series(pg.chief_series(P, reverse), pg.chief_series(fresh, reverse))
+
+
+def test_nca_walk_stops_at_the_first_failing_factor(monkeypatch):
+    # S4's first chief factor V4 is abelian and not central
+    S4 = pg.symmetric(4)
+    built = _record_chief_factors(monkeypatch)
+    assert pg.is_nca_member(S4) is False
+    assert len(built) == 1
+    assert pg.chief_series(S4).factor_orders() == (4, 3, 2) and len(built) == 3
+
+
+def test_chief_walk_records_no_factor_that_raises(monkeypatch):
+    # under a tighter enumeration bound the walk raises before its first
+    # factor is built, and leaves none in the series cached for that bound
+    S5 = pg.symmetric(5)
+    tight = pg.Limits(enumeration=10)
+    with pg.limits_scope(tight):
+        with pytest.raises(ResourceLimitError):
+            pg.is_quasinilpotent(S5)
+        series = chiefs._chief_series(S5)
+        assert series._factors == [] and len(series._terms) == 1
+    assert pg.chief_series(S5).factor_orders() == (60, 2)
+    assert [t.order for t in pg.chief_series(S5).terms] == [1, 60, 120]
+    # a factor whose construction raises midway is not recorded either: the
+    # walk resumes at it and finishes the same series as a fresh group's
+    S4 = pg.symmetric(4)
+    init = chiefs.ChiefFactor.__init__
+    calls = []
+
+    def second_raises(self, *args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ResourceLimitError("raised while building the second factor")
+        init(self, *args)
+
+    monkeypatch.setattr(chiefs.ChiefFactor, "__init__", second_raises)
+    with pytest.raises(ResourceLimitError):
+        pg.chief_series(S4)
+    series = chiefs._chief_series(S4)
+    assert len(series._factors) == 1 and len(series._terms) == 2
+    assert _same_series(pg.chief_series(S4), pg.chief_series(pg.symmetric(4)))
 
 
 # -- fast paths against their slow oracles --------------------------------------
@@ -357,7 +432,7 @@ def test_minimal_normal_subgroups_skip_classes_in_prime_order_candidates(G, monk
     closures = []
     build = chiefs.subgroup_from_elements
     monkeypatch.setattr(chiefs, "subgroup_from_elements",
-                        lambda H, cls: closures.append(cls) or build(H, cls))
+                        lambda H, cls, **kw: closures.append(cls) or build(H, cls, **kw))
     _assert_minimal_normals_match(G)
     prime_classes = [cls for cls in G.conjugacy_classes() if is_prime(cls[0].order())]
     assert 0 < len(closures) < len(prime_classes)

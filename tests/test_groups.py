@@ -291,6 +291,48 @@ def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
         assert H.chain is grown and len(built) == 1
 
 
+def test_bounded_chains_equal_unbounded_chains(monkeypatch):
+    # a chain given an order bound stops sifting once its orbits multiply to
+    # it.  On the four suites over a fresh standard corpus, every such chain
+    # must hold a bound no smaller than its group's order and equal the
+    # chain built without one, level by level.  Lattice nodes take no bound:
+    # their order check would pass whatever the bound cut short.
+    from permgroups import groups, lattice
+
+    bounded = []
+    init = groups.PermGroup.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.chain._bound:
+            bounded.append(self)
+
+    node = lattice.SubgroupLattice.node
+
+    def unbounded_node(self, i):
+        sub = node(self, i)
+        assert sub.chain._bound == 0
+        return sub
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", recording)
+    monkeypatch.setattr(lattice.SubgroupLattice, "node", unbounded_node)
+    corpus = pg.standard_corpus()
+    for suite in (lambda c: pg.verify_theorem1(c, pg.NILPOTENT), pg.verify_baer,
+                  pg.verify_remark4, pg.compare_nca):
+        assert all(r.error is None for r in suite(corpus))
+    assert len(bounded) > 100
+    for G in bounded:
+        fresh = StabilizerChain(G.degree, G.generators)
+        assert G.chain._bound >= fresh.order()
+        assert [
+            (lvl.point, lvl.gens, lvl.inverses, list(lvl.transversal.items()))
+            for lvl in G.chain.levels
+        ] == [
+            (lvl.point, lvl.gens, lvl.inverses, list(lvl.transversal.items()))
+            for lvl in fresh.levels
+        ]
+
+
 # -- the image-tuple kernel against Permutation products ----------------------
 
 
