@@ -22,7 +22,6 @@ serve one class's verdicts to another class that shares its name.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -34,10 +33,10 @@ from .chiefs import (
     factor_semidirect,
     minimal_normal_subgroups,
 )
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .groups import PermGroup, commutator_subgroup, quotient_group
 from .lattice import MASK_RULES, all_subgroups
-from .limits import cache_key
+from .limits import cache_key, check_degree
 from .primes import is_prime, prime_divisors
 
 
@@ -48,19 +47,16 @@ class GroupClass:
     ``local_definition`` (when present) maps each prime p to the class F(p)
     of a canonical local definition; ``central_test`` (when present) decides
     X-centrality of a chief factor without building the semidirect product;
-    ``hereditary`` asserts closure under subgroups, and ``contains_nilpotent``
-    that every nilpotent group belongs.  For user-supplied local definitions
-    both fullness and integration are taken on faith (they quantify over all
-    groups), and a warning is issued.
+    ``contains_nilpotent`` asserts that every nilpotent group belongs.  A local
+    definition is taken to be full and integrated, so that it decides
+    F-centrality; that quantifies over all groups and is not checked.
     """
 
     name: str
     membership: Callable[[PermGroup], bool]
     local_definition: Callable[[int], "GroupClass"] | None = None
     central_test: Callable[[ChiefFactor], bool] | None = None
-    hereditary: bool = False
     contains_nilpotent: bool = False
-    user_asserted: bool = False
 
     def member(self, G: PermGroup) -> bool:
         key = cache_key("class_member", self)
@@ -118,11 +114,6 @@ def is_class_central_local(cf: ChiefFactor, X: GroupClass) -> bool:
     """Lemma-style path: G/C_G(H/K) in F(p) for every p dividing |H/K|."""
     if X.local_definition is None:
         raise InputError(f"class {X.name} has no local definition")
-    if X.user_asserted:
-        warnings.warn(
-            f"local definition of {X.name} is user-asserted full and integrated",
-            stacklevel=2,
-        )
     Q = _centralizer_quotient(cf)
     return all(X.local_definition(p).member(Q) for p in prime_divisors(cf.factor.order))
 
@@ -139,10 +130,9 @@ def is_class_central(cf: ChiefFactor, X: GroupClass) -> bool:
     """Is the chief factor X-central, i.e. (H/K) x| G/C_G(H/K) in X?
 
     A class's own central test answers first (for N*, the inner-automorphism
-    criterion of Remark 4).  Otherwise classes with a hereditary canonical
-    local definition use the local path, and the rest build and test the
-    semidirect product.  When the product exceeds the bounds, the local path
-    is the fallback; without one the resource error propagates.
+    criterion of Remark 4); otherwise a class with a local definition takes
+    the local path, and the rest build and test the semidirect product, whose
+    resource errors propagate.
     """
     key = cache_key("central", X)
     cached = cf._cache.get(key)
@@ -150,16 +140,10 @@ def is_class_central(cf: ChiefFactor, X: GroupClass) -> bool:
         return cached
     if X.central_test is not None:
         verdict = X.central_test(cf)
-    elif X.local_definition is not None and X.hereditary:
+    elif X.local_definition is not None:
         verdict = is_class_central_local(cf, X)
     else:
-        try:
-            verdict = is_class_central_semidirect(cf, X)
-        except ResourceLimitError:
-            if X.local_definition is not None:
-                verdict = is_class_central_local(cf, X)
-            else:
-                raise
+        verdict = is_class_central_semidirect(cf, X)
     cf._cache[key] = verdict
     return verdict
 
@@ -215,7 +199,6 @@ def p_groups(p: int) -> GroupClass:
     X = GroupClass(
         name=f"Np:{p}",
         membership=lambda G: is_p_group(G, p),
-        hereditary=True,
     )
     MASK_RULES[X] = lambda order, nilpotent: prime_divisors(order) in ([], [p])
     return X
@@ -225,7 +208,6 @@ NILPOTENT = GroupClass(
     name="N",
     membership=is_nilpotent,
     local_definition=p_groups,
-    hereditary=True,
     contains_nilpotent=True,
 )
 
@@ -245,14 +227,12 @@ NCA = GroupClass(
 ABELIAN = GroupClass(
     name="abelian",
     membership=is_abelian_group,
-    hereditary=True,
 )
 
 ALL_GROUPS = GroupClass(
     name="all",
     membership=lambda G: True,
     local_definition=lambda p: ALL_GROUPS,
-    hereditary=True,
     contains_nilpotent=True,
 )
 
@@ -307,6 +287,8 @@ def class_by_name(selector: str) -> GroupClass:
             p = int(selector[3:])
         except ValueError:
             raise InputError(f"bad prime in class selector {selector!r}") from None
+        # a nontrivial p-group moves at least p points
+        check_degree(p, f"class selector {selector!r}")
         return p_groups(p)
     raise InputError(
         f"unknown class selector {selector!r} (expected N, Np:<prime>, N*, Nca, abelian, all)"

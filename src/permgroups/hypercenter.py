@@ -121,7 +121,7 @@ def intersection_of_class_maximal(G: PermGroup, X: GroupClass) -> Subgroup:
     """Int_X(G): elementwise intersection of all X-maximal subgroups of G."""
     lattice = all_subgroups(G)
     masks = lattice.class_maximal_masks(X)
-    mask = (1 << G.order) - 1 if G.order else 0
+    mask = (1 << G.order) - 1
     for m in masks:
         mask &= m
     return lattice.subgroup_from_mask(mask)

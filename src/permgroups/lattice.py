@@ -68,7 +68,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ResourceLimitError
-from .groups import PermGroup, Subgroup, subgroup_from_elements
+from .groups import PermGroup, Subgroup
 from .limits import cache_key, current
 from .primes import is_prime, is_prime_power, prime_divisors, smallest_prime_factor
 
@@ -157,8 +157,6 @@ class SubgroupLattice:
         self.conjugation_orbits = tuple(
             sorted(tuple(sorted(pos[m] for m in orbit)) for orbit in orbits)
         )
-        k_of = {i: k for k, members in enumerate(self.conjugation_orbits) for i in members}
-        self.orbit_of = tuple(k_of[i] for i in range(len(masks)))
 
     # -- construction ------------------------------------------------------
 
@@ -347,24 +345,9 @@ class SubgroupLattice:
     def nodes(self) -> list[Subgroup]:
         return [self.node(i) for i in range(len(self._masks))]
 
-    def includes(self, i: int, j: int) -> bool:
-        """True when node i contains node j."""
-        return self._masks[j] & ~self._masks[i] == 0
-
-    def node_order(self, i: int) -> int:
-        return self._masks[i].bit_count()
-
     def subgroup_from_mask(self, mask: int) -> Subgroup:
-        pos = self._mask_pos.get(mask)
-        if pos is not None:
-            return self.node(pos)
-        elems = []
-        m = mask
-        while m:
-            low = m & -m
-            elems.append(self._elems[low.bit_length() - 1])
-            m ^= low
-        return subgroup_from_elements(self.ambient, elems)
+        """The node with this mask; an intersection of node masks is one."""
+        return self.node(self._mask_pos[mask])
 
     @staticmethod
     def _maximal(masks: list[int]) -> list[int]:
@@ -382,17 +365,6 @@ class SubgroupLattice:
 
     def maximal_masks(self) -> list[int]:
         return self._maximal([m for m in self._masks if m != self._full_mask])
-
-    def maximal_subgroups(self) -> list[Subgroup]:
-        """Proper subgroups maximal under inclusion."""
-        return [self.node(self._mask_pos[m]) for m in self.maximal_masks()]
-
-    def frattini_subgroup(self) -> Subgroup:
-        """Intersection of all maximal subgroups (the whole group when none exist)."""
-        mask = self._full_mask
-        for m in self.maximal_masks():
-            mask &= m
-        return self.subgroup_from_mask(mask)
 
     def _is_nilpotent(self, mask: int) -> bool:
         """H has at least |H|_p p-elements for each p; nilpotent iff exactly."""
@@ -415,10 +387,6 @@ class SubgroupLattice:
     def class_maximal_masks(self, X: "GroupClass") -> list[int]:
         member = self.class_membership(X)
         return self._maximal([m for m, inside in zip(self._masks, member) if inside])
-
-    def class_maximal_subgroups(self, X: "GroupClass") -> list[Subgroup]:
-        """Subgroups in X contained in no strictly larger X-subgroup."""
-        return [self.node(self._mask_pos[m]) for m in self.class_maximal_masks(X)]
 
 
 def all_subgroups(G: PermGroup) -> SubgroupLattice:

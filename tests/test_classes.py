@@ -73,6 +73,33 @@ def test_local_path_requires_local_definition():
         pg.is_class_central_local(cf, pg.QUASINILPOTENT)
 
 
+def test_user_class_with_local_definition_takes_local_path(standard, monkeypatch):
+    definitional = [[pg.is_class_central_semidirect(cf, pg.NILPOTENT)
+                     for cf in pg.chief_series(G).factors] for G in standard]
+
+    def no_product(cf, X):
+        raise AssertionError("semidirect path taken")
+
+    monkeypatch.setattr(pg.classes, "is_class_central_semidirect", no_product)
+    X = pg.GroupClass(name="N-local", membership=pg.is_nilpotent,
+                      local_definition=pg.p_groups, contains_nilpotent=True)
+    local = [[pg.is_class_central(cf, X) for cf in pg.chief_series(G).factors]
+             for G in standard]
+    assert local == definitional
+
+
+def test_class_without_shortcut_builds_product(standard, monkeypatch):
+    built = []
+    semidirect = pg.classes.is_class_central_semidirect
+    monkeypatch.setattr(pg.classes, "is_class_central_semidirect",
+                        lambda cf, X: built.append(cf) or semidirect(cf, X))
+    X = pg.GroupClass(name="N-def", membership=pg.is_nilpotent, contains_nilpotent=True)
+    factors = [cf for G in standard for cf in pg.chief_series(G).factors]
+    verdicts = [pg.is_class_central(cf, X) for cf in factors]
+    assert built == factors
+    assert verdicts == [cf.is_central() for cf in factors]
+
+
 def test_is_quasi_F_examples():
     assert pg.is_quasi_F(pg.quaternion8(), pg.NILPOTENT)
     assert pg.is_quasi_F(pg.alternating(5), pg.NILPOTENT)

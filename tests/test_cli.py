@@ -230,6 +230,21 @@ def test_cli_group_file_degree_beyond_point_bound(tmp_path):
     assert code == 2 and "point bound 50" in err
 
 
+def test_cli_class_prime_beyond_point_bound(tmp_path):
+    grp = tmp_path / "c3.grp"
+    grp.write_text("degree 3\n(0 1 2)\n")
+    # a trial-division primality test of this selector would hang
+    code, _, err = _run_cli(["hypercenter", "--class", "Np:1000000000000000003",
+                             "--group", str(grp)], timeout=30)
+    assert code == 2, err
+    assert "point bound 10000" in err and "Traceback" not in err
+    for args, z_order in ([["--class", "Np:3"], 3],
+                          [["--class", "Np:10007", "--semidirect-bound", "20000"], 1]):
+        code, out, err = _run_cli(["hypercenter", "--group", str(grp), *args], timeout=30)
+        assert code == 0, err
+        assert json.loads(out)["z_order"] == z_order
+
+
 @pytest.mark.parametrize("ctor, args", [
     ("cyclic", [100000000]),
     ("symmetric", [10001]),

@@ -1,4 +1,4 @@
-"""Subgroup lattice enumeration, maximal subgroups, X-maximal subgroups."""
+"""Subgroup lattice enumeration, maximal and X-maximal masks."""
 
 from array import array
 
@@ -42,7 +42,7 @@ def test_lattice_matches_brute_oracle(G):
 def test_lattice_contains_trivial_and_ambient():
     for G in [pg.cyclic(1), pg.symmetric(4), pg.quaternion8()]:
         lattice = pg.all_subgroups(G)
-        orders = [lattice.node_order(i) for i in range(lattice.node_count())]
+        orders = [mask.bit_count() for mask in lattice.masks]
         assert 1 in orders and G.order in orders
 
 
@@ -97,7 +97,6 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
     assert lattice._masks == masks
     assert lattice._gen_idxs == gen_idxs
     assert lattice.conjugation_orbits == orbits
-    assert all(i in orbits[k] for i, k in enumerate(lattice.orbit_of))
     assert len(joins) < naive_joins
 
 
@@ -190,48 +189,56 @@ def test_abelian_build_conjugates_no_mask(G, monkeypatch):
 
 def test_maximal_subgroups_s4():
     lattice = pg.all_subgroups(pg.symmetric(4))
-    maxs = lattice.maximal_subgroups()
-    assert sorted(m.order for m in maxs) == [6, 6, 6, 6, 8, 8, 8, 12]
+    maxs = lattice.maximal_masks()
+    assert sorted(m.bit_count() for m in maxs) == [6, 6, 6, 6, 8, 8, 8, 12]
 
 
 def test_maximal_subgroups_small():
-    assert [m.order for m in pg.all_subgroups(pg.cyclic(7)).maximal_subgroups()] == [1]
+    assert [m.bit_count() for m in pg.all_subgroups(pg.cyclic(7)).maximal_masks()] == [1]
     assert sorted(
-        m.order for m in pg.all_subgroups(pg.cyclic(6)).maximal_subgroups()
+        m.bit_count() for m in pg.all_subgroups(pg.cyclic(6)).maximal_masks()
     ) == [2, 3]
 
 
+def _frattini(G):
+    # the intersection of the maximal subgroups, read off the lattice
+    lattice = pg.all_subgroups(G)
+    mask = lattice.masks[-1]
+    for m in lattice.maximal_masks():
+        mask &= m
+    return lattice.subgroup_from_mask(mask)
+
+
 def test_frattini_subgroups():
-    assert pg.all_subgroups(pg.symmetric(4)).frattini_subgroup().is_trivial()
-    assert pg.all_subgroups(pg.cyclic(4)).frattini_subgroup().order == 2
-    q8_frat = pg.all_subgroups(pg.quaternion8()).frattini_subgroup()
+    assert _frattini(pg.symmetric(4)).is_trivial()
+    assert _frattini(pg.cyclic(4)).order == 2
+    q8_frat = _frattini(pg.quaternion8())
     assert q8_frat.order == 2
     assert q8_frat == pg.center(pg.quaternion8())
 
 
 def test_frattini_is_normal():
     for G in [pg.symmetric(4), pg.dihedral(16), pg.special_linear2(3)]:
-        frat = pg.all_subgroups(G).frattini_subgroup()
-        assert is_normal(frat)
+        assert is_normal(_frattini(G))
 
 
 def test_class_maximal_nilpotent_s4():
     lattice = pg.all_subgroups(pg.symmetric(4))
-    maxs = lattice.class_maximal_subgroups(pg.NILPOTENT)
-    assert sorted(m.order for m in maxs) == [3, 3, 3, 3, 8, 8, 8]
+    maxs = lattice.class_maximal_masks(pg.NILPOTENT)
+    assert sorted(m.bit_count() for m in maxs) == [3, 3, 3, 3, 8, 8, 8]
 
 
 def test_class_maximal_of_member_is_whole_group():
     for G in [pg.quaternion8(), pg.cyclic(12), pg.dihedral(16)]:
-        maxs = pg.all_subgroups(G).class_maximal_subgroups(pg.NILPOTENT)
-        assert len(maxs) == 1 and maxs[0].order == G.order
+        maxs = pg.all_subgroups(G).class_maximal_masks(pg.NILPOTENT)
+        assert len(maxs) == 1 and maxs[0].bit_count() == G.order
 
 
 def test_class_maximal_quasinilpotent_s5_includes_a5():
     lattice = pg.all_subgroups(pg.symmetric(5))
-    maxs = lattice.class_maximal_subgroups(pg.QUASINILPOTENT)
+    maxs = lattice.class_maximal_masks(pg.QUASINILPOTENT)
     a5 = pg.symmetric(5).subgroup(pg.alternating(5).generators)
-    assert any(m == a5 for m in maxs)
+    assert any(lattice.subgroup_from_mask(m) == a5 for m in maxs)
 
 
 @pytest.mark.parametrize(
@@ -271,12 +278,23 @@ def test_conjugation_orbits_partition_nodes():
 
 
 def test_inclusion_consistent_with_order():
-    lattice = pg.all_subgroups(pg.dihedral(12))
-    n = lattice.node_count()
-    for i in range(n):
-        for j in range(n):
-            if lattice.includes(i, j):
-                assert lattice.node_order(i) % lattice.node_order(j) == 0
+    masks = pg.all_subgroups(pg.dihedral(12)).masks
+    for mi in masks:
+        for mj in masks:
+            if mj & ~mi == 0:
+                assert mi.bit_count() % mj.bit_count() == 0
+
+
+@pytest.mark.parametrize(
+    "G", [pg.symmetric(4), pg.special_linear2(3), pg.dihedral(24), pg.quaternion8(),
+          pg.symmetric(5)],
+    ids=lambda g: g.name,
+)
+def test_masks_closed_under_intersection(G):
+    # subgroup_from_mask relies on it: Int and every other intersection is a node
+    masks = pg.all_subgroups(G).masks
+    mask_set = set(masks)
+    assert all(mi & mj in mask_set for mi in masks for mj in masks)
 
 
 _MASK_CLASSES = [pg.NILPOTENT, pg.QUASINILPOTENT, pg.NCA, pg.ABELIAN, pg.ALL_GROUPS,
@@ -345,7 +363,7 @@ def test_user_class_membership_called_once_per_orbit():
     # a user class's flags are not trusted: no nilpotent shortcut
     calls = []
     X = pg.GroupClass(name="N", membership=lambda H: calls.append(H) or True,
-                      contains_nilpotent=True, hereditary=True)
+                      contains_nilpotent=True)
     lattice = pg.SubgroupLattice(pg.dihedral(8))
     assert all(lattice.class_membership(X))
     assert len(calls) == len(lattice.conjugation_orbits)
