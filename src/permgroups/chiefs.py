@@ -1,12 +1,13 @@
 """Normal structure: minimal normal subgroups, chief series, chief factors
 with their conjugation action, and the factor semidirect product.
 
-A chief factor H/K of G is realized on the cosets of K inside H (on H's own
-elements when K is trivial).  The conjugation action of G permutes those
-cosets by automorphisms; its kernel is the centralizer C_G(H/K), and the
-preimage of the inner automorphisms is exactly H * C_G(H/K).  The kernel is
-found by point stabilizers of G's generators glued to that action, never by
-testing every element of G.
+A chief factor H/K of G is realized as a minimal normal subgroup of the
+quotient G/K it was found in, so the cosets of K inside H are the elements
+of that subgroup.  The conjugation action of G permutes them by
+automorphisms; its kernel is the centralizer C_G(H/K), its image is
+G/C_G(H/K), and the preimage of the inner automorphisms is exactly
+H * C_G(H/K).  The kernel is found by point stabilizers of G's generators
+glued to that action, never by testing every element of G.
 
 Chief series are built on demand, one factor at a time, and cached as far as
 they got, so N* and Nca membership stop at the first failing factor.
@@ -35,37 +36,32 @@ from .primes import is_prime
 
 
 class ChiefFactor:
-    """A chief factor H/K of G together with the induced G-action."""
+    """A chief factor H/K of G, realized as the minimal normal subgroup
+    ``factor`` = H/K of ``quotient`` = G/K, together with the induced G-action."""
 
-    def __init__(self, ambient: PermGroup, lower: Subgroup, upper: Subgroup):
-        self.ambient = ambient
-        self.lower = lower
-        self.upper = upper
+    def __init__(self, quotient: Quotient, factor: Subgroup):
+        self.quotient, self.factor = quotient, factor
+        self.ambient: PermGroup = quotient.ambient
+        self.lower: Subgroup = quotient.kernel
+        self.upper: Subgroup = quotient.lift_subgroup(factor)
         self._cache: dict = {}
-
-        if lower.is_trivial():
-            # Cosets of 1 are the elements of H; use H itself as the factor.
-            self.cosets: tuple[Permutation, ...] = upper.elements()
-            self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
-            self.factor: PermGroup = upper
-        else:
-            Q = Quotient(upper, lower)
-            self.cosets, self._coset_of, self.factor = Q.reps, Q._coset_of, Q.group
-
+        # the cosets of K in H are the elements of H/K
+        self.cosets: tuple[Permutation, ...] = factor.elements()
+        self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
         # action of G's generators on the cosets, by conjugation
         self.action: dict[Permutation, Permutation] = {
-            g: self.action_of(g) for g in ambient.generators
+            g: self.action_of(g) for g in self.ambient.generators
         }
         self.centralizer = self._compute_centralizer()
 
     def factor_coset_of_element(self, h: Permutation) -> int:
-        idx = self._coset_of.get(h.images)
-        if idx is None:
+        if not self.upper.contains(h):
             raise InputError("element does not belong to the upper term")
-        return idx
+        return self._coset_of[self.quotient.project(h).images]
 
     def action_of(self, g: Permutation) -> Permutation:
         """The permutation of the coset set induced by conjugation with g."""
+        g = self.quotient.project(g)
         pre, g_images = itemgetter(*g.inverse().images), g.images  # pre(x) = g^-1 * x
         coset_of = self._coset_of
         return Permutation._unchecked(
@@ -77,7 +73,7 @@ class ChiefFactor:
 
         Each generator g of G is glued to its coset action as one permutation
         on degree + m points; the first degree points carry g, so the glued
-        group is G.  The kernel fixes the cosets of H's generators (they
+        group is G.  The kernel fixes the factor's generators (they
         generate H/K), so these points are stabilized in turn by the Schreier
         generators u * s * u'^-1 of their orbits that the kept ones' chain
         misses.  subgroup_from_elements reads only the kernel's element set,
@@ -91,8 +87,8 @@ class ChiefFactor:
             for g in G.generators
         ]
         chain = None  # until a coset point moves, the kernel is G itself
-        for h in self.upper.generators:
-            point = n + self.factor_coset_of_element(h)
+        for h in self.factor.generators:
+            point = n + self._coset_of[h.images]
             if all(s.images[point] == point for s in gens):
                 continue
             # orbit of the coset point, with transversal pairs (u, u^-1)
@@ -152,9 +148,8 @@ class ChiefSeries:
                     return
                 Q = quotient_group(G, terms[-1])
                 mns = minimal_normal_subgroups(Q.group)
-                H = Q.lift_subgroup(mns[-1] if self._reverse else mns[0])
-                factors.append(ChiefFactor(G, terms[-1], H))
-                terms.append(H)
+                factors.append(ChiefFactor(Q, mns[-1] if self._reverse else mns[0]))
+                terms.append(factors[-1].upper)
             yield factors[i]
 
     @property
@@ -258,7 +253,8 @@ def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
     """The chief factor H/K, validating normality and minimality.
 
     Raises PreconditionError naming a witness when a normal subgroup of G
-    lies strictly between K and H.
+    lies strictly between K and H.  The factor is realized in G/K as the
+    image of H, and its ``upper`` is the full preimage of that image, H.
     """
     conj = [(g.inverse(), g) for g in G.generators]
     for sub, label in ((K, "K"), (H, "H")):
@@ -281,7 +277,7 @@ def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
             )
     if not any(mn == Hbar for mn in minimal_normal_subgroups(Q.group)):
         raise PreconditionError("H/K is not a minimal normal subgroup of G/K")
-    return ChiefFactor(G, K, H)
+    return ChiefFactor(Q, Hbar)
 
 
 def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
@@ -311,9 +307,9 @@ def all_generators_induce_inner(cf: ChiefFactor) -> bool:
 def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     """(H/K) x| G/C_G(H/K), realized faithfully on the cosets of K in H.
 
-    H/K acts by right translation of the cosets, and G by its conjugation
-    action, whose kernel is C_G(H/K).  The two generate a group of order
-    |H/K| * |G : C_G(H/K)|.
+    H/K acts by right translation of its elements (the cosets), and G by
+    its conjugation action, whose kernel is C_G(H/K).  The two generate a
+    group of order |H/K| * |G : C_G(H/K)|.
     """
     lim = current()
     n = cf.factor.order
@@ -330,7 +326,7 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     coset_of = cf._coset_of
     gens = [
         Permutation._unchecked(tuple(coset_of[(c * h).images] for c in cf.cosets))
-        for h in cf.upper.generators
+        for h in cf.factor.generators
     ]
     gens.extend(cf.action.values())
     product = PermGroup(n, gens)

@@ -34,7 +34,7 @@ from .chiefs import (
     minimal_normal_subgroups,
 )
 from .errors import InputError
-from .groups import PermGroup, commutator_subgroup, quotient_group
+from .groups import PermGroup, commutator_subgroup
 from .lattice import MASK_RULES, all_subgroups
 from .limits import cache_key, check_degree
 from .primes import is_prime, prime_divisors
@@ -90,12 +90,7 @@ def is_nilpotent(G: PermGroup) -> bool:
 
 
 def is_p_group(G: PermGroup, p: int) -> bool:
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    n = G.order
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_groups(p).member(G)
 
 
 def is_abelian_group(G: PermGroup) -> bool:
@@ -111,7 +106,8 @@ def is_class_central_semidirect(cf: ChiefFactor, X: GroupClass) -> bool:
 
 
 def is_class_central_local(cf: ChiefFactor, X: GroupClass) -> bool:
-    """Lemma-style path: G/C_G(H/K) in F(p) for every p dividing |H/K|."""
+    """Lemma-style path: G/C_G(H/K) in F(p) for every p dividing |H/K|,
+    with G/C_G(H/K) the group G induces on the factor (_centralizer_quotient)."""
     if X.local_definition is None:
         raise InputError(f"class {X.name} has no local definition")
     Q = _centralizer_quotient(cf)
@@ -119,10 +115,14 @@ def is_class_central_local(cf: ChiefFactor, X: GroupClass) -> bool:
 
 
 def _centralizer_quotient(cf: ChiefFactor) -> PermGroup:
-    key = cache_key("centralizer_quotient")
-    cached = cf._cache.get(key)
+    """G/C_G(H/K) as the image of G's action on the factor, whose kernel is
+    C_G(H/K); nothing is enumerated, so one group serves every bound."""
+    cached = cf._cache.get("centralizer_quotient")
     if cached is None:
-        cached = cf._cache[key] = quotient_group(cf.ambient, cf.centralizer).group
+        cached = cf._cache["centralizer_quotient"] = PermGroup(
+            len(cf.cosets), cf.action.values(),
+            _bound=cf.ambient.order // cf.centralizer.order,
+        )
     return cached
 
 
@@ -193,12 +193,15 @@ def is_nca_member(G: PermGroup) -> bool:
 
 @cache
 def p_groups(p: int) -> GroupClass:
-    """The class of p-groups; one object per prime, so class-keyed caches hit."""
+    """The class of p-groups; one object per prime, so class-keyed caches hit.
+    p is checked when its class is first built, and not again by membership."""
+    # a nontrivial p-group moves at least p points: bound p before trial division
+    check_degree(p, f"the p-groups for p = {p}")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     X = GroupClass(
         name=f"Np:{p}",
-        membership=lambda G: is_p_group(G, p),
+        membership=lambda G: prime_divisors(G.order) in ([], [p]),
     )
     MASK_RULES[X] = lambda order, nilpotent: prime_divisors(order) in ([], [p])
     return X
@@ -287,8 +290,6 @@ def class_by_name(selector: str) -> GroupClass:
             p = int(selector[3:])
         except ValueError:
             raise InputError(f"bad prime in class selector {selector!r}") from None
-        # a nontrivial p-group moves at least p points
-        check_degree(p, f"class selector {selector!r}")
         return p_groups(p)
     raise InputError(
         f"unknown class selector {selector!r} (expected N, Np:<prime>, N*, Nca, abelian, all)"

@@ -324,8 +324,10 @@ class Quotient:
     def project(self, g: Permutation) -> Permutation:
         if self._coset_of is None:
             return g
-        coset_of = self._coset_of
-        return Permutation._unchecked(tuple(coset_of[(rep * g).images] for rep in self.reps))
+        coset_of, g_images = self._coset_of, g.images
+        return Permutation._unchecked(  # rep * g, composed on image tuples
+            tuple(coset_of[itemgetter(*rep.images)(g_images)] for rep in self.reps)
+        )
 
     def lift(self, q: Permutation) -> Permutation:
         """A coset representative mapping to q (regular action on cosets)."""

@@ -84,18 +84,14 @@ def _climb(
     trace: list[tuple[Subgroup, int, bool]] = []
     while Z.order < G.order:
         Q = quotient_group(G, Z)
-        lifted = None
         for mn in minimal_normal_subgroups(Q.group):
-            H = Q.lift_subgroup(mn)
-            cf = ChiefFactor(G, Z, H)
+            cf = ChiefFactor(Q, mn)
             if step_ok(cf):
-                lifted = (H, cf)
                 break
-        if lifted is None:
+        else:  # no admissible candidate
             break
-        H, cf = lifted
-        trace.append((H, cf.factor.order, True))
-        Z = H
+        trace.append((cf.upper, cf.factor.order, True))
+        Z = cf.upper
     return Z, tuple(trace)
 
 

@@ -205,14 +205,16 @@ def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset
     """C_G(H/K) by testing every g in G, with the passing element set.
 
     g centralizes H/K iff conjugation by g fixes the coset of every generator
-    of H (generator cosets generate the factor).
+    of H/K (generator cosets generate the factor); each is lifted to an
+    element of H, and each conjugate's coset is looked up afresh.
     """
-    gen_cosets = [(h, cf.factor_coset_of_element(h)) for h in cf.upper.generators]
-    coset_of = cf._coset_of
+    lifts = map(cf.quotient.lift, cf.factor.generators)
+    gen_cosets = [(h, cf.factor_coset_of_element(h)) for h in lifts]
+    coset_of = cf.factor_coset_of_element
     passing = []
     for g in cf.ambient.elements():
         g_inv = g.inverse()
-        if all(coset_of[(g_inv * h * g).images] == c for h, c in gen_cosets):
+        if all(coset_of(g_inv * h * g) == c for h, c in gen_cosets):
             passing.append(g)
     return pg.subgroup_from_elements(cf.ambient, passing), frozenset(passing)
 
@@ -251,13 +253,9 @@ def factor_element_cosets(cf: pg.ChiefFactor) -> list[int]:
     """The coset of K in H that each element of the factor H/K stands for,
     in the factor's sorted element order.
 
-    When K = 1 the factor is H and its elements are the cosets themselves;
-    otherwise the factor acts regularly on the cosets, and element e stands
-    for the image of the identity coset, ``e.images[0]``.
+    The factor is H/K inside G/K, so its elements are the cosets themselves.
     """
-    if cf.lower.is_trivial():
-        return [cf.factor_coset_of_element(e) for e in cf.factor.elements()]
-    return [e.images[0] for e in cf.factor.elements()]
+    return [cf._coset_of[e.images] for e in cf.factor.elements()]
 
 
 def element_semidirect(cf: pg.ChiefFactor) -> pg.PermGroup:
@@ -374,10 +372,10 @@ def _is_hypercentral_below(G: pg.PermGroup, N: pg.Subgroup, X: pg.GroupClass) ->
                 break
         if step is None:  # cannot happen for a normal N; defensive
             return False
-        H = Q.lift_subgroup(step)
-        if not pg.is_class_central(pg.ChiefFactor(G, K, H), X):
+        cf = pg.ChiefFactor(Q, step)
+        if not pg.is_class_central(cf, X):
             return False
-        K = H
+        K = cf.upper
     return True
 
 

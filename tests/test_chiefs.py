@@ -7,10 +7,11 @@ import pytest
 
 import permgroups as pg
 from permgroups import chiefs
+from permgroups.classes import _centralizer_quotient
 from permgroups.errors import PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
 from permgroups.perms import Permutation, parse_permutation
-from permgroups.primes import is_prime
+from permgroups.primes import is_prime, prime_divisors
 
 from conftest import (
     element_orders,
@@ -357,6 +358,50 @@ def test_factor_centralizer_matches_element_walk_semidirect(remark4_products):
     for P in remark4_products:
         for cf in pg.chief_series(P).factors:
             _assert_centralizer_matches_walk(cf)
+
+
+def _both_series_factors(groups):
+    for G in groups:
+        for reverse in (False, True):
+            yield from pg.chief_series(G, reverse_tiebreak=reverse).factors
+
+
+def _assert_centralizer_is_quotient_centralizer(cf):
+    # C_G(H/K)/K = C_{G/K}(H/K), computed in the quotient the factor lives in
+    oracle = cf.quotient.lift_subgroup(pg.centralizer(cf.quotient.group, cf.factor))
+    assert cf.centralizer.element_set() == oracle.element_set()
+
+
+def _assert_centralizer_quotient_matches_enumerated(cf):
+    # the action's image against G/C_G(H/K) as an enumerated coset table
+    G, Q = cf.ambient, _centralizer_quotient(cf)
+    assert Q.order == G.order // cf.centralizer.order
+    oracle = pg.quotient_group(G, cf.centralizer).group
+    assert Q.is_abelian() == oracle.is_abelian()
+    assert pg.is_nilpotent(Q) == pg.is_nilpotent(oracle)
+    for p in prime_divisors(cf.factor.order):
+        local = pg.NILPOTENT.local_definition(p)
+        assert local.member(Q) == local.member(oracle)
+
+
+def test_factor_centralizer_matches_quotient_centralizer_standard(standard):
+    for cf in _both_series_factors(standard):
+        _assert_centralizer_is_quotient_centralizer(cf)
+
+
+def test_factor_centralizer_matches_quotient_centralizer_semidirect(remark4_products):
+    for cf in _both_series_factors(remark4_products):
+        _assert_centralizer_is_quotient_centralizer(cf)
+
+
+def test_centralizer_quotient_matches_enumerated_quotient_standard(standard):
+    for cf in _both_series_factors(standard):
+        _assert_centralizer_quotient_matches_enumerated(cf)
+
+
+def test_centralizer_quotient_matches_enumerated_quotient_semidirect(remark4_products):
+    for cf in _both_series_factors(remark4_products):
+        _assert_centralizer_quotient_matches_enumerated(cf)
 
 
 def test_factor_semidirect_relabels_element_construction(standard):

@@ -1,6 +1,9 @@
 """Group-class predicates: nilpotency, centrality of chief factors, quasi-F
 membership, N_ca membership, and s-critical detection."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,39 @@ def test_is_p_group():
     assert not pg.is_p_group(pg.symmetric(3), 3)
     with pytest.raises(InputError):
         pg.is_p_group(pg.cyclic(2), 6)
+
+
+def test_p_groups_reject_a_prime_beyond_the_point_bound():
+    # a trial-division primality test of this prime would hang, so the calls
+    # run in a fresh process under a timeout; each must fail within a second
+    p = 1000000000000000003
+    script = f"""
+import time
+import permgroups as pg
+for call in (lambda: pg.p_groups({p}), lambda: pg.is_p_group(pg.cyclic(3), {p})):
+    start = time.perf_counter()
+    try:
+        call()
+    except pg.InputError as err:
+        print(time.perf_counter() - start, err)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0 and len(lines) == 2, proc.stderr
+    for line in lines:
+        seconds, message = line.split(" ", 1)
+        assert float(seconds) < 1 and "point bound 10000" in message
+
+
+def test_p_groups_membership_does_not_recheck_the_prime():
+    with pg.limits_scope(pg.Limits(semidirect_degree=20000)):
+        X = pg.p_groups(10007)
+    assert X.member(pg.cyclic(1)) and not X.member(pg.cyclic(3))
+    assert not pg.is_p_group(pg.cyclic(3), 10007)
+    with pytest.raises(InputError) as err:
+        pg.is_p_group(pg.cyclic(1), 10009)
+    assert "point bound 10000" in str(err.value)
 
 
 def test_is_class_central_nilpotent():

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import permgroups as pg
-from permgroups.classes import is_class_central
+from permgroups.classes import _centralizer_quotient, is_class_central
 from permgroups.errors import ResourceLimitError
 from permgroups.limits import current
 
@@ -27,7 +27,7 @@ def test_factor_semidirect_bound():
         pg.factor_semidirect(cf)
 
 
-def test_is_class_central_falls_back_to_local_path():
+def test_is_class_central_paths_under_a_tight_bound():
     # semidirect construction over budget: classes with a local definition
     # or a central test still answer; classes with neither surface the
     # resource error
@@ -106,13 +106,16 @@ def test_normal_structure_caches_honour_limits(call):
 
 
 def test_centralizer_quotient_cache_honours_limits():
-    # the local path's quotient G/C_G(H/K), cached under the default bounds,
-    # is not served to a tighter one
+    # the local path's quotient G/C_G(H/K) is the image of the factor's
+    # action and enumerates nothing: a tighter enumeration bound gets the
+    # same verdict from the same cached group
     G = pg.direct_product(pg.symmetric(4), pg.cyclic(3))
     cf = next(cf for cf in pg.chief_series(G).factors if cf.centralizer.order == 12)
     assert is_class_central(cf, pg.NILPOTENT) is False
-    with pg.limits_scope(pg.Limits(enumeration=10)), pytest.raises(ResourceLimitError):
-        is_class_central(cf, pg.NILPOTENT)
+    quotient = _centralizer_quotient(cf)
+    with pg.limits_scope(pg.Limits(enumeration=10)):
+        assert is_class_central(cf, pg.NILPOTENT) is False
+        assert _centralizer_quotient(cf) is quotient
     assert is_class_central(cf, pg.NILPOTENT) is False
 
 
