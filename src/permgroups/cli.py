@@ -10,6 +10,7 @@ record as soon as that group is done.
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import json
 import os
@@ -18,7 +19,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .classes import (
     NCA,
@@ -164,6 +165,13 @@ def _load_groups(config: CliConfig) -> list[PermGroup]:
     raise InputError(f"unknown corpus {name!r} (not a builtin name or readable file)")
 
 
+def _release(groups: list[PermGroup]) -> Iterator[PermGroup]:
+    """The groups in order, each dropped from the list as it is handed out."""
+    groups.reverse()
+    while groups:
+        yield groups.pop()
+
+
 # -- commands ---------------------------------------------------------------------
 
 
@@ -224,11 +232,13 @@ SUITES = {
 
 
 def _report_suite(reports, config: CliConfig, out: TextIO, assert_equal: bool) -> int:
-    """Write each report as it arrives; then name the first resource error
-    (exit 3) or, when equality is asserted, the first unequal group (exit 1)."""
+    """Write each report as it arrives, then free its group; at the end name
+    the first resource error (exit 3) or, when equality is asserted, the
+    first unequal group (exit 1)."""
     first_error = first_unequal = None
     for report in reports:
         _emit(out, report.to_json(include_timing=config.timings))
+        gc.collect()  # the finished group's cache and the group refer to each other
         if report.error is not None:
             first_error = first_error or report
         if not report.equal:
@@ -264,25 +274,37 @@ def _s_critical_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO)
 
 def run(config: CliConfig) -> int:
     """Run one command with the config's bounds in effect; the bounds in
-    effect before are back when it returns or raises."""
-    with scope(Limits(config.enumeration_bound, config.lattice_bound, config.semidirect_bound)):
-        groups = _load_groups(config)
-        try:
-            out = open(config.output, "w") if config.output else nullcontext(sys.stdout)
-        except OSError as exc:
-            raise InputError(f"cannot write output file {config.output!r}: {exc}") from None
-        with out as sink:
-            if config.command in SUITES:
-                class_name, sides, assert_equal = SUITES[config.command]
-                return _report_suite(run_suite(groups, class_name, sides),
-                                     config, sink, assert_equal)
-            if config.command in SUBGROUP_COMMANDS:
-                return _subgroup_cmd(config, groups, sink)
-            if config.command == "info":
-                return _info(config, groups, sink)
-            if config.command == "s-critical":
-                return _s_critical_cmd(config, groups, sink)
-            raise InputError(f"unknown command {config.command!r}")
+    effect before, and the collector's frozen set, are back when it returns
+    or raises."""
+    # freezing what is alive before the groups load keeps the interpreter and
+    # module heap out of the collection after each suite record (a frozen
+    # group could never be freed)
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        with scope(Limits(config.enumeration_bound, config.lattice_bound,
+                          config.semidirect_bound)):
+            groups = _load_groups(config)
+            try:
+                out = open(config.output, "w") if config.output else nullcontext(sys.stdout)
+            except OSError as exc:
+                raise InputError(f"cannot write output file {config.output!r}: {exc}") from None
+            with out as sink:
+                if config.command in SUITES:
+                    class_name, sides, assert_equal = SUITES[config.command]
+                    return _report_suite(run_suite(_release(groups), class_name, sides),
+                                         config, sink, assert_equal)
+                if config.command in SUBGROUP_COMMANDS:
+                    return _subgroup_cmd(config, groups, sink)
+                if config.command == "info":
+                    return _info(config, groups, sink)
+                if config.command == "s-critical":
+                    return _s_critical_cmd(config, groups, sink)
+                raise InputError(f"unknown command {config.command!r}")
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -324,10 +324,12 @@ class Quotient:
     def project(self, g: Permutation) -> Permutation:
         if self._coset_of is None:
             return g
-        coset_of, g_images = self._coset_of, g.images
-        return Permutation._unchecked(  # rep * g, composed on image tuples
-            tuple(coset_of[itemgetter(*rep.images)(g_images)] for rep in self.reps)
-        )
+        # ``group`` is regular, so g's image is its one element taking coset 0
+        # (base point 0) to the coset of g: level 0's transversal holds it
+        levels = self.group.chain.levels
+        if not levels:  # N = G: one coset
+            return Permutation._unchecked((0,))
+        return Permutation._unchecked(levels[0].transversal[self._coset_of[g.images]][0])
 
     def lift(self, q: Permutation) -> Permutation:
         """A coset representative mapping to q (regular action on cosets)."""

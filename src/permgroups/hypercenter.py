@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chiefs import ChiefFactor, all_generators_induce_inner, minimal_normal_subgroups
@@ -164,27 +165,36 @@ def run_suite(
     A resource error is recorded in the group's report and the run goes on;
     any other error propagates after the earlier groups' reports have been
     yielded.
+
+    Once a group's report is out the suite holds nothing of it.  Over a
+    generator that holds no group it has handed out, with ``gc.collect()``
+    after each report (a group's cache refers back to it), a run needs the
+    memory of its largest group, as in the CLI; ``verify_*`` return lists.
     """
-    for i, G in enumerate(corpus):
-        gid = _group_id(G, i)
+
+    def report(index: int, G: PermGroup) -> VerificationReport:
+        gid = _group_id(G, index)
         started = time.perf_counter()
         try:
             Z, other, equal = sides(G, gid)
         except ResourceLimitError as exc:
-            yield VerificationReport(
+            return VerificationReport(
                 group_id=gid, order=G.order, class_name=class_name,
                 z_order=None, int_order=None, equal=False, witness=(),
                 z_generators=(), int_generators=(), millis=None, error=str(exc),
             )
-            continue
         millis = (time.perf_counter() - started) * 1000.0
-        yield VerificationReport(
+        return VerificationReport(
             group_id=gid, order=G.order, class_name=class_name,
             z_order=Z.order, int_order=other.order, equal=equal,
             witness=() if equal else _symmetric_difference(Z, other),
             z_generators=_gen_strings(Z), int_generators=_gen_strings(other),
             millis=millis,
         )
+
+    # map holds no group between reports; a generator's loop variable, or
+    # the tuple enumerate reuses, would hold the last one while suspended
+    return map(report, count(), corpus)
 
 
 def corollary_sides(F: GroupClass) -> Sides:

@@ -7,6 +7,7 @@ criterion, ``naive_lattice`` is the lattice join loop rebuilt without
 its shortcuts, ``elementwise_closure_mask`` is a lattice join grown one
 element at a time, ``naive_factor_centralizer`` tests every element of G,
 ``induces_inner_automorphism`` tries every coset as the inner automorphism,
+``naive_project`` maps g into G/K coset by coset,
 ``element_semidirect`` builds the chief factor's semidirect product on
 the factor's elements, ``naive_minimal_normal_subgroups`` compares full
 element sets and ``hypercenter_oracle`` is the product of every
@@ -217,6 +218,13 @@ def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset
         if all(coset_of(g_inv * h * g) == c for h, c in gen_cosets):
             passing.append(g)
     return pg.subgroup_from_elements(cf.ambient, passing), frozenset(passing)
+
+
+def naive_project(Q: pg.Quotient, g: Permutation) -> Permutation:
+    """g's image in G/K by its definition: coset i goes to the coset of reps[i] * g."""
+    if Q._coset_of is None:
+        return g
+    return Permutation([Q._coset_of[(rep * g).images] for rep in Q.reps])
 
 
 def is_normal(S: pg.Subgroup) -> bool:

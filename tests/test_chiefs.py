@@ -20,6 +20,7 @@ from conftest import (
     induces_inner_automorphism,
     naive_factor_centralizer,
     naive_minimal_normal_subgroups,
+    naive_project,
 )
 
 
@@ -402,6 +403,30 @@ def test_centralizer_quotient_matches_enumerated_quotient_standard(standard):
 def test_centralizer_quotient_matches_enumerated_quotient_semidirect(remark4_products):
     for cf in _both_series_factors(remark4_products):
         _assert_centralizer_quotient_matches_enumerated(cf)
+
+
+def _project_pairs_checked(groups, elements_of) -> int:
+    # every G/K, K > 1, of both tie-break series, G/G (one point) included
+    pairs = 0
+    for G in groups:
+        for reverse in (False, True):
+            for K in pg.chief_series(G, reverse_tiebreak=reverse).terms[1:]:
+                Q = pg.quotient_group(G, K)
+                for g in elements_of(G, Q):
+                    assert Q.project(g) == naive_project(Q, g)
+                    pairs += 1
+    return pairs
+
+
+def test_quotient_project_matches_rep_products_standard(standard):
+    assert _project_pairs_checked(standard, lambda G, Q: G.elements()) == 6214
+
+
+def test_quotient_project_matches_rep_products_semidirect(remark4_products):
+    # one element of each coset, and the generators (the oracle would take
+    # 6 s on every element of every product)
+    pairs = _project_pairs_checked(remark4_products, lambda G, Q: Q.reps + G.generators)
+    assert pairs == 1294
 
 
 def test_factor_semidirect_relabels_element_construction(standard):

@@ -1,15 +1,18 @@
 """CLI frontend: group files, corpus resolution, commands, exit codes."""
 
+import gc
 import io
 import json
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import permgroups as pg
+from permgroups import cli
 from permgroups.cli import CliConfig, format_group, main, parse_group_file, run
 from permgroups.errors import InputError
 from permgroups.limits import current
@@ -377,6 +380,58 @@ def test_run_restores_default_limits(tmp_path):
         run(replace(config, corpus="nonesuch"))
     assert pg.DEFAULT_LIMITS == before
     assert current() is pg.DEFAULT_LIMITS
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, suite):
+    refs = []
+    load = cli._load_groups
+
+    def recording(config):
+        groups = load(config)
+        refs.extend(weakref.ref(G) for G in groups)
+        return groups
+
+    class Sink(io.StringIO):
+        records = 0
+
+        def write(self, text):
+            # every group whose record came earlier is freed already
+            assert [ref() for ref in refs[:self.records]] == [None] * self.records
+            self.records += 1
+            return super().write(text)
+
+    sink = Sink()
+    monkeypatch.setattr(cli, "_load_groups", recording)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(CliConfig(command=suite, corpus="smoke", timings=False)) == 0
+    assert sink.records == len(refs) == 12
+    assert [ref() for ref in refs] == [None] * 12
+
+
+@pytest.mark.parametrize("config, code", [
+    (CliConfig(command="verify-corollary", corpus="smoke"), 0),
+    (CliConfig(command="verify-corollary", corpus="smoke", lattice_bound=5), 3),
+    (CliConfig(command="verify-corollary", corpus="nonesuch"), InputError),
+])
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, config, code, caller_froze):
+    config = replace(config, output=str(tmp_path / "report.jsonl"))
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        if code is InputError:
+            with pytest.raises(InputError):
+                run(config)
+        else:
+            assert run(config) == code
+        # frozen objects that die leave the frozen set, so it can only shrink
+        after = gc.get_freeze_count()
+        assert (0 < after <= before) if caller_froze else after == 0
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("command", [
