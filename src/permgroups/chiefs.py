@@ -11,6 +11,11 @@ glued to that action, never by testing every element of G.
 
 Chief series are built on demand, one factor at a time, and cached as far as
 they got, so N* and Nca membership stop at the first failing factor.
+
+The factor semidirect product P = (H/K) x| G/C_G(H/K) is built knowing its
+minimal normal subgroups: the right translations M by H/K (minimal, as H/K is
+minimal normal in G/K) and, for non-abelian H/K, the left ones, C_P(M), where
+any other would lie.  So P's chief series enumerates no element of P.
 """
 
 from __future__ import annotations
@@ -179,9 +184,6 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     cached = G._cache.get(key)
     if cached is not None:
         return list(cached)
-    if G.order == 1:
-        G._cache[key] = ()
-        return []
     candidates: list[Subgroup] = []
     seen: set[tuple] = set()
     for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
@@ -309,7 +311,17 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
 
     H/K acts by right translation of its elements (the cosets), and G by
     its conjugation action, whose kernel is C_G(H/K).  The two generate a
-    group of order |H/K| * |G : C_G(H/K)|.
+    group P of order |H/K| * |G : C_G(H/K)|.
+
+    P records its minimal normal subgroups, so ``minimal_normal_subgroups(P)``
+    walks no class of P.  The right translations M are minimal normal: a
+    P-invariant subgroup of M is a normal subgroup of G/K inside H/K.  Any
+    other minimal normal N meets M trivially, so N <= C_P(M).  M is regular and
+    A = G/C_G(H/K), the stabilizer of the identity coset, is faithful on M, so
+    C_P(M) = M when H/K is abelian.  Else C_P(M) is the left translations L
+    (Robinson 1996), in P as conjugation by h is a left times a right
+    translation, and minimal as M is.  Each is built from the P-class of its
+    least prime-order element as the class walk builds it: same generators.
     """
     lim = current()
     n = cf.factor.order
@@ -324,11 +336,17 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     if cached is not None:
         return cached
     coset_of = cf._coset_of
-    gens = [
-        Permutation._unchecked(tuple(coset_of[(c * h).images] for c in cf.cosets))
-        for h in cf.factor.generators
-    ]
-    gens.extend(cf.action.values())
-    product = PermGroup(n, gens)
+    right, left = (  # the translations by H/K's generators
+        [Permutation._unchecked(tuple(coset_of[times(c, h).images] for c in cf.cosets))
+         for h in cf.factor.generators]
+        for times in (lambda c, h: c * h, lambda c, h: h * c)
+    )
+    product = PermGroup(n, right + list(cf.action.values()))
+    normals = []
+    for gens in (right,) if cf.factor_is_abelian() else (right, left):
+        elems = PermGroup(n, gens, _bound=n).elements()
+        cls = next(walk_classes(product, elems, _has_prime_order, set()))
+        normals.append(subgroup_from_elements(product, cls, _bound=product.order))
+    product._cache[cache_key("min_normals")] = tuple(sorted(normals, key=_encoding))
     cf._cache["factor_semidirect"] = product
     return product

@@ -18,8 +18,10 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .classes import (
     NCA,
@@ -180,20 +182,26 @@ def _emit(out: TextIO, line: str) -> None:
     out.flush()
 
 
-def _info(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
-    for G in groups:
-        _emit(out, f"group {G.name or '?'}: order {G.order}")
-        _emit(out, f"  center order: {center(G).order}")
-        series = chief_series(G)
-        orders = ", ".join(str(n) for n in series.factor_orders()) or "-"
-        _emit(out, f"  chief factor orders: {orders}")
-        _emit(out, f"  abelian: {str(G.is_abelian()).lower()}")
-        _emit(out, f"  nilpotent: {str(NILPOTENT.member(G)).lower()}")
-        _emit(out, f"  quasinilpotent: {str(QUASINILPOTENT.member(G)).lower()}")
-        _emit(out, f"  nca: {str(NCA.member(G)).lower()}")
-        if config.emit_generators:
-            out.write(format_group(G))
+def _per_group(lines: Callable[..., Iterator[str]], groups: list[PermGroup], out: TextIO) -> int:
+    """Write each group's lines as they come, and free the group after its last."""
+    for block in map(lines, count(), _release(groups)):
+        for line in block:
+            _emit(out, line)
+        gc.collect()  # the finished group's cache and the group refer to each other
     return 0
+
+
+def _info(config: CliConfig, i: int, G: PermGroup) -> Iterator[str]:
+    yield f"group {G.name or '?'}: order {G.order}"
+    yield f"  center order: {center(G).order}"
+    orders = ", ".join(str(n) for n in chief_series(G).factor_orders()) or "-"
+    yield f"  chief factor orders: {orders}"
+    yield f"  abelian: {str(G.is_abelian()).lower()}"
+    yield f"  nilpotent: {str(NILPOTENT.member(G)).lower()}"
+    yield f"  quasinilpotent: {str(QUASINILPOTENT.member(G)).lower()}"
+    yield f"  nca: {str(NCA.member(G)).lower()}"
+    if config.emit_generators:
+        yield from format_group(G).splitlines()
 
 
 # per-group subgroup commands: (record field prefix, the subgroup of G for X)
@@ -203,10 +211,11 @@ SUBGROUP_COMMANDS = {
 }
 
 
-def _subgroup_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
+def _subgroup_lines(config: CliConfig) -> Callable[[int, PermGroup], Iterator[str]]:
     side, compute = SUBGROUP_COMMANDS[config.command]
     X = class_by_name(config.class_selector)
-    for i, G in enumerate(groups):
+
+    def lines(i: int, G: PermGroup) -> Iterator[str]:
         started = time.perf_counter()
         sub = compute(G, X)
         record = {
@@ -218,8 +227,9 @@ def _subgroup_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -
         }
         if config.timings:
             record["millis"] = (time.perf_counter() - started) * 1000.0
-        _emit(out, json.dumps(record, sort_keys=True))
-    return 0
+        yield json.dumps(record, sort_keys=True)
+
+    return lines
 
 
 # suite commands: (class name, sides, whether unequal sides fail the run)
@@ -296,9 +306,9 @@ def run(config: CliConfig) -> int:
                     return _report_suite(run_suite(_release(groups), class_name, sides),
                                          config, sink, assert_equal)
                 if config.command in SUBGROUP_COMMANDS:
-                    return _subgroup_cmd(config, groups, sink)
+                    return _per_group(_subgroup_lines(config), groups, sink)
                 if config.command == "info":
-                    return _info(config, groups, sink)
+                    return _per_group(partial(_info, config), groups, sink)
                 if config.command == "s-critical":
                     return _s_critical_cmd(config, groups, sink)
                 raise InputError(f"unknown command {config.command!r}")

@@ -82,11 +82,7 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple; every call checks the enumeration
         bound in effect."""
-        bound = current().enumeration
-        if self.order > bound:
-            raise ResourceLimitError(
-                f"group order {self.order} exceeds enumeration bound {bound}"
-            )
+        _check_enumeration(self.order)
         elems = self._cache.get("elements")
         if elems is None:
             elems = self._cache["elements"] = tuple(sorted(self.chain.elements(), key=_IMAGES))
@@ -140,6 +136,12 @@ class PermGroup:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<PermGroup{label} degree={self.degree} order={self.order}>"
+
+
+def _check_enumeration(order: int) -> None:
+    bound = current().enumeration
+    if order > bound:
+        raise ResourceLimitError(f"group order {order} exceeds enumeration bound {bound}")
 
 
 class Subgroup(PermGroup):
@@ -294,7 +296,7 @@ class Quotient:
             self.reps: tuple[Permutation, ...] = ()
             self._coset_of: dict[tuple, int] | None = None
             return
-        ambient.elements()  # enforce the bound before coset work
+        _check_enumeration(ambient.order)  # before coset work; G is not enumerated
         # n * rep for each kernel element n, on image tuples
         kernel_gets = [itemgetter(*n.images) for n in kernel.elements()]
         coset_of: dict[tuple, int] = {}

@@ -10,6 +10,7 @@ from permgroups import chiefs
 from permgroups.classes import _centralizer_quotient
 from permgroups.errors import PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
+from permgroups.limits import cache_key
 from permgroups.perms import Permutation, parse_permutation
 from permgroups.primes import is_prime, prime_divisors
 
@@ -485,6 +486,49 @@ def test_minimal_normal_subgroups_match_element_sets_standard(standard):
 def test_minimal_normal_subgroups_match_element_sets_semidirect(remark4_products):
     for P in remark4_products:
         _assert_minimal_normals_match(P)
+
+
+def _assert_seeded_minimal_normals_match_walk(P):
+    # factor_semidirect records P's minimal normal subgroups; the class walk
+    # must build the same ones, down to generators and base
+    seeded = P._cache.pop(cache_key("min_normals"))
+    walked = pg.minimal_normal_subgroups(P)
+    assert [(N.generators, N.chain.base, N.order) for N in seeded] == [
+        (N.generators, N.chain.base, N.order) for N in walked]
+
+
+def test_seeded_minimal_normal_subgroups_match_class_walk_standard(standard):
+    products = non_abelian = 0
+    for cf in _both_series_factors(standard):
+        _assert_seeded_minimal_normals_match_walk(pg.factor_semidirect(cf))
+        products += 1
+        non_abelian += not cf.factor_is_abelian()
+    assert products == 150 and non_abelian > 0
+
+
+def test_seeded_minimal_normal_subgroups_match_class_walk_semidirect(remark4_products):
+    for P in remark4_products:
+        _assert_seeded_minimal_normals_match_walk(P)
+
+
+@pytest.mark.parametrize("G, verdict", [
+    (pg.symmetric(5), False),  # S5 acts outer on A5: the walk stops at M
+    (pg.alternating(5), True),  # M x L: the walk goes on through P/M
+], ids=["S5", "A5"])
+def test_definitional_path_enumerates_no_product(G, verdict):
+    cf = pg.chief_series(G).factors[0]
+    P = pg.factor_semidirect(cf)
+    assert len(pg.minimal_normal_subgroups(P)) == 2
+    assert pg.is_quasinilpotent(P) is verdict
+    assert "elements" not in P._cache
+
+
+def test_quotient_checks_the_enumeration_bound_on_the_order():
+    S5 = pg.symmetric(5)
+    A5 = pg.chief_series(S5).terms[1]
+    with pg.limits_scope(pg.Limits(enumeration=10)):
+        with pytest.raises(ResourceLimitError, match="^group order 120 exceeds enumeration bound 10$"):
+            pg.quotient_group(S5, A5)
 
 
 _DP = pg.direct_product
