@@ -51,7 +51,6 @@ from .classes import (
     NCA,
     NILPOTENT,
     QUASINILPOTENT,
-    builtin_classes,
     class_by_name,
     is_class_central,
     is_class_central_local,

@@ -4,10 +4,10 @@ with their conjugation action, and the factor semidirect product.
 A chief factor H/K of G is realized as a minimal normal subgroup of the
 quotient G/K it was found in, so the cosets of K inside H are the elements
 of that subgroup.  The conjugation action of G permutes them by
-automorphisms; its kernel is the centralizer C_G(H/K), its image is
-G/C_G(H/K), and the preimage of the inner automorphisms is exactly
-H * C_G(H/K).  The kernel is found by point stabilizers of G's generators
-glued to that action, never by testing every element of G.
+automorphisms; its image, generated by the actions of G's generators, is
+G/C_G(H/K), and every centrality verdict reads that image.  Its kernel, the
+centralizer C_G(H/K), is built only when read, and the preimage of the inner
+automorphisms is exactly H * C_G(H/K).
 
 Chief series are built on demand, one factor at a time, and cached as far as
 they got, so N* and Nca membership stop at the first failing factor.
@@ -20,16 +20,17 @@ any other would lie.  So P's chief series enumerates no element of P.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count
 from operator import itemgetter
 from typing import Iterator
 
-from .chain import StabilizerChain
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .groups import (
     PermGroup,
     Quotient,
     Subgroup,
+    centralizer,
     join_subgroups,
     quotient_group,
     subgroup_from_elements,
@@ -42,7 +43,8 @@ from .primes import is_prime
 
 class ChiefFactor:
     """A chief factor H/K of G, realized as the minimal normal subgroup
-    ``factor`` = H/K of ``quotient`` = G/K, together with the induced G-action."""
+    ``factor`` = H/K of ``quotient`` = G/K, together with the induced G-action
+    and its ``image`` G/C_G(H/K) on the cosets."""
 
     def __init__(self, quotient: Quotient, factor: Subgroup):
         self.quotient, self.factor = quotient, factor
@@ -57,7 +59,7 @@ class ChiefFactor:
         self.action: dict[Permutation, Permutation] = {
             g: self.action_of(g) for g in self.ambient.generators
         }
-        self.centralizer = self._compute_centralizer()
+        self.image = PermGroup(len(self.cosets), self.action.values())
 
     def factor_coset_of_element(self, h: Permutation) -> int:
         if not self.upper.contains(h):
@@ -73,62 +75,21 @@ class ChiefFactor:
             tuple(coset_of[itemgetter(*pre(rep.images))(g_images)] for rep in self.cosets)
         )
 
-    def _compute_centralizer(self) -> Subgroup:
-        """C_G(H/K), the kernel of G's conjugation action on the cosets.
+    @cached_property
+    def centralizer(self) -> Subgroup:
+        """C_G(H/K), the kernel of G's action on the factor, built on first read."""
+        return self._compute_centralizer()
 
-        Each generator g of G is glued to its coset action as one permutation
-        on degree + m points; the first degree points carry g, so the glued
-        group is G.  The kernel fixes the factor's generators (they
-        generate H/K), so these points are stabilized in turn by the Schreier
-        generators u * s * u'^-1 of their orbits that the kept ones' chain
-        misses.  subgroup_from_elements reads only the kernel's element set,
-        so the generators are those of testing every g in G (the test oracle).
-        """
-        G = self.ambient
-        n = G.degree
-        ident = Permutation.identity(n + len(self.cosets))
-        gens = [
-            Permutation._unchecked(g.images + tuple(n + c for c in self.action[g].images))
-            for g in G.generators
-        ]
-        chain = None  # until a coset point moves, the kernel is G itself
-        for h in self.factor.generators:
-            point = n + self._coset_of[h.images]
-            if all(s.images[point] == point for s in gens):
-                continue
-            # orbit of the coset point, with transversal pairs (u, u^-1)
-            trans = {point: (ident, ident)}
-            queue = [point]
-            for beta in queue:
-                u = trans[beta][0]
-                for s in gens:
-                    gamma = s.images[beta]
-                    if gamma not in trans:
-                        v = u * s
-                        trans[gamma] = (v, v.inverse())
-                        queue.append(gamma)
-            # its stabilizer, by the Schreier generators the kept ones miss
-            chain = StabilizerChain(n, ())
-            kept = []
-            for beta in queue:
-                u = trans[beta][0]
-                for s in gens:
-                    schreier = u * s * trans[s.images[beta]][1]
-                    head = Permutation._unchecked(schreier.images[:n])
-                    if head.is_identity() or chain.contains(head):
-                        continue
-                    kept.append(schreier)
-                    chain._add(head)
-            gens = kept
-        heads = [Permutation._unchecked(s.images[:n]) for s in gens]
-        kernel = G if chain is None else PermGroup(n, heads, _chain=chain)  # grown from heads
-        return subgroup_from_elements(G, kernel.elements(), _bound=kernel.order)
+    def _compute_centralizer(self) -> Subgroup:
+        """The full preimage of C_{G/K}(H/K), which is C_G(H/K).  Its elements
+        are regenerated in G, so the generators are those of testing every g
+        in G (the test oracle)."""
+        Q = self.quotient
+        C = Q.lift_subgroup(centralizer(Q.group, self.factor))
+        return subgroup_from_elements(self.ambient, C.elements(), _bound=C.order)
 
     def is_central(self) -> bool:
-        return self.centralizer.order == self.ambient.order
-
-    def factor_is_abelian(self) -> bool:
-        return self.factor.is_abelian()
+        return self.image.is_trivial()
 
     def __repr__(self) -> str:
         return (
@@ -299,11 +260,13 @@ def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
 def all_generators_induce_inner(cf: ChiefFactor) -> bool:
     """Does all of G act on H/K by inner automorphisms, i.e. G = H * C_G(H/K)?
 
-    Inner-inducing elements form a subgroup (the preimage of Inn(H/K)), so
-    G's generators suffice; the tests keep a brute-force per-element oracle.
+    H's image Inn(H/K) lies in G's image G/C_G(H/K), so they are equal iff
+    their orders are.  Inn(H/K) is trivial for an abelian factor, and
+    isomorphic to H/K otherwise, as a non-abelian chief factor is a product
+    of non-abelian simple groups and so centreless (Robinson 1996).  The
+    tests keep a brute-force per-generator oracle.
     """
-    iis = inner_induction_subgroup(cf)
-    return all(iis.contains(g) for g in cf.ambient.generators)
+    return cf.image.order == (1 if cf.factor.is_abelian() else cf.factor.order)
 
 
 def factor_semidirect(cf: ChiefFactor) -> PermGroup:
@@ -325,7 +288,7 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     """
     lim = current()
     n = cf.factor.order
-    quot = cf.ambient.order // cf.centralizer.order
+    quot = cf.image.order
     # every call checks the bounds, also when the product is cached
     if n > lim.semidirect_degree or n * quot > lim.enumeration:
         raise ResourceLimitError(
@@ -343,7 +306,7 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     )
     product = PermGroup(n, right + list(cf.action.values()))
     normals = []
-    for gens in (right,) if cf.factor_is_abelian() else (right, left):
+    for gens in (right,) if cf.factor.is_abelian() else (right, left):
         elems = PermGroup(n, gens, _bound=n).elements()
         cls = next(walk_classes(product, elems, _has_prime_order, set()))
         normals.append(subgroup_from_elements(product, cls, _bound=product.order))

@@ -8,10 +8,13 @@ membership of (H/K) x| G/C_G(H/K) in X; two production paths avoid building
 that product:
 
 * N* carries a central test from the paper's Remark 4: H/K is N*-central
-  iff every element of G acts on it as an inner automorphism, i.e.
-  G = H * C_G(H/K).
+  iff every element of G acts on it as an inner automorphism, i.e. the
+  factor's action image G/C_G(H/K) is Inn(H/K).
 * A class with a canonical local definition p -> F(p) reduces F-centrality
   to G/C_G(H/K) lying in F(p) for every prime p dividing the factor order.
+
+Every path reads G/C_G(H/K) as the chief factor's ``image``; none builds the
+kernel C_G(H/K).
 
 The definitional semidirect path stays available, and both shortcuts are
 asserted equal to it on every corpus chief factor in the tests.
@@ -107,23 +110,10 @@ def is_class_central_semidirect(cf: ChiefFactor, X: GroupClass) -> bool:
 
 def is_class_central_local(cf: ChiefFactor, X: GroupClass) -> bool:
     """Lemma-style path: G/C_G(H/K) in F(p) for every p dividing |H/K|,
-    with G/C_G(H/K) the group G induces on the factor (_centralizer_quotient)."""
+    with G/C_G(H/K) the group G induces on the factor (``cf.image``)."""
     if X.local_definition is None:
         raise InputError(f"class {X.name} has no local definition")
-    Q = _centralizer_quotient(cf)
-    return all(X.local_definition(p).member(Q) for p in prime_divisors(cf.factor.order))
-
-
-def _centralizer_quotient(cf: ChiefFactor) -> PermGroup:
-    """G/C_G(H/K) as the image of G's action on the factor, whose kernel is
-    C_G(H/K); nothing is enumerated, so one group serves every bound."""
-    cached = cf._cache.get("centralizer_quotient")
-    if cached is None:
-        cached = cf._cache["centralizer_quotient"] = PermGroup(
-            len(cf.cosets), cf.action.values(),
-            _bound=cf.ambient.order // cf.centralizer.order,
-        )
-    return cached
+    return all(X.local_definition(p).member(cf.image) for p in prime_divisors(cf.factor.order))
 
 
 def is_class_central(cf: ChiefFactor, X: GroupClass) -> bool:
@@ -178,7 +168,7 @@ def is_quasinilpotent(G: PermGroup) -> bool:
 def is_nca_member(G: PermGroup) -> bool:
     """Abelian chief factors central, non-abelian chief factors simple."""
     for cf in _chief_series(G):
-        if cf.factor_is_abelian():
+        if cf.factor.is_abelian():
             if not cf.is_central():
                 return False
         else:
@@ -273,10 +263,6 @@ def quasi_class(F: GroupClass) -> GroupClass:
     if F.contains_nilpotent:  # otherwise membership raises InputError
         MASK_RULES[Fstar] = _accept_nilpotent
     return Fstar
-
-
-def builtin_classes() -> tuple[GroupClass, ...]:
-    return (NILPOTENT, QUASINILPOTENT, NCA, ABELIAN, ALL_GROUPS)
 
 
 def class_by_name(selector: str) -> GroupClass:

@@ -95,10 +95,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(inverse_images(self.images))
 
-    def conjugated_by(self, g: "Permutation") -> "Permutation":
-        """Return g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def commutator_with(self, other: "Permutation") -> "Permutation":
         """Return self^-1 * other^-1 * self * other."""
         return self.inverse() * other.inverse() * self * other

@@ -136,7 +136,7 @@ def test_criterion_7_spot_values():
     assert pg.is_nca_member(S5) is True
     series = pg.chief_series(S5)
     assert series.factor_orders() == (60, 2)
-    assert not series.factors[0].factor_is_abelian()
+    assert not series.factors[0].factor.is_abelian()
     assert series.factors[1].is_central()
 
     # is_quasinilpotent(S5) = False: a transposition acts outer on the A5

@@ -7,7 +7,6 @@ import pytest
 
 import permgroups as pg
 from permgroups import chiefs
-from permgroups.classes import _centralizer_quotient
 from permgroups.errors import PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
 from permgroups.limits import cache_key
@@ -376,7 +375,7 @@ def _assert_centralizer_is_quotient_centralizer(cf):
 
 def _assert_centralizer_quotient_matches_enumerated(cf):
     # the action's image against G/C_G(H/K) as an enumerated coset table
-    G, Q = cf.ambient, _centralizer_quotient(cf)
+    G, Q = cf.ambient, cf.image
     assert Q.order == G.order // cf.centralizer.order
     oracle = pg.quotient_group(G, cf.centralizer).group
     assert Q.is_abelian() == oracle.is_abelian()
@@ -404,6 +403,31 @@ def test_centralizer_quotient_matches_enumerated_quotient_standard(standard):
 def test_centralizer_quotient_matches_enumerated_quotient_semidirect(remark4_products):
     for cf in _both_series_factors(remark4_products):
         _assert_centralizer_quotient_matches_enumerated(cf)
+
+
+def _image_verdicts_checked(factors) -> tuple[int, int]:
+    # the verdicts read off the action image, against the per-generator
+    # brute-force oracle and the kernel C_G(H/K)
+    checked = not_inner = 0
+    for cf in factors:
+        G = cf.ambient
+        inner = all(induces_inner_automorphism(cf, g)[0] for g in G.generators)
+        assert chiefs.all_generators_induce_inner(cf) == inner
+        assert cf.image.order == G.order // cf.centralizer.order
+        assert cf.is_central() == (cf.centralizer.order == G.order)
+        checked, not_inner = checked + 1, not_inner + (not inner)
+    return checked, not_inner
+
+
+def test_image_verdicts_match_oracles_standard(standard):
+    assert _image_verdicts_checked(_both_series_factors(standard)) == (150, 30)
+
+
+def test_image_verdicts_match_oracles_semidirect(remark4_products):
+    checked, not_inner = _image_verdicts_checked(
+        cf for P in remark4_products for cf in pg.chief_series(P).factors
+    )
+    assert (checked, not_inner) == (89, 20)
 
 
 def _project_pairs_checked(groups, elements_of) -> int:
@@ -502,7 +526,7 @@ def test_seeded_minimal_normal_subgroups_match_class_walk_standard(standard):
     for cf in _both_series_factors(standard):
         _assert_seeded_minimal_normals_match_walk(pg.factor_semidirect(cf))
         products += 1
-        non_abelian += not cf.factor_is_abelian()
+        non_abelian += not cf.factor.is_abelian()
     assert products == 150 and non_abelian > 0
 
 

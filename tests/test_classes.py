@@ -14,6 +14,7 @@ from permgroups.perms import Permutation
 
 from conftest import nilpotent_oracle
 
+BUILTIN_CLASSES = (pg.NILPOTENT, pg.QUASINILPOTENT, pg.NCA, pg.ABELIAN, pg.ALL_GROUPS)
 
 def test_is_nilpotent_examples():
     assert pg.is_nilpotent(pg.quaternion8())
@@ -173,14 +174,14 @@ def test_class_hierarchy_on_corpus(standard):
 
 def test_trivial_group_in_every_builtin_class():
     triv = pg.cyclic(1)
-    for X in pg.builtin_classes():
+    for X in BUILTIN_CLASSES:
         assert X.member(triv)
 
 
 def test_contains_nilpotent_flag_holds_on_corpus(standard):
     nilpotent_groups = [G for G in standard if pg.NILPOTENT.member(G)]
     assert len(nilpotent_groups) >= 15
-    for X in pg.builtin_classes():
+    for X in BUILTIN_CLASSES:
         if X.contains_nilpotent:
             assert all(X.member(G) for G in nilpotent_groups), X.name
 
@@ -202,8 +203,8 @@ def test_membership_is_relabeling_invariant(relabel):
     pool = [pg.symmetric(3), pg.alternating(4), pg.dihedral(12), pg.cyclic(6)]
     for G in pool:
         padded = _padded(G)
-        H = pg.PermGroup(6, [g.conjugated_by(relabel) for g in padded.generators])
-        for X in pg.builtin_classes():
+        H = pg.PermGroup(6, [relabel.inverse() * g * relabel for g in padded.generators])
+        for X in BUILTIN_CLASSES:
             assert X.member(H) == X.member(padded), (G.name, X.name)
 
 

@@ -326,6 +326,35 @@ def test_suite_output_matches_golden(tmp_path, suite):
     assert out_path.read_bytes() == (GOLDEN / f"{suite}-standard.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("selector", ["abelian", "Np:2"])
+def test_hypercenter_output_matches_golden(tmp_path, selector):
+    # both classes decide centrality on the factor semidirect path
+    out_path = tmp_path / "report.jsonl"
+    code = run(CliConfig(command="hypercenter", class_selector=selector,
+                         corpus="standard", timings=False, output=str(out_path)))
+    assert code == 0
+    golden = GOLDEN / f"hypercenter-{selector.replace(':', '')}-standard.jsonl"
+    assert out_path.read_bytes() == golden.read_bytes()
+
+
+def test_suites_never_build_a_factor_centralizer(monkeypatch):
+    # every verdict reads the chief factor's action image, never C_G(H/K)
+    def refuse(cf):
+        raise AssertionError("C_G(H/K) was built")
+
+    monkeypatch.setattr(pg.ChiefFactor, "_compute_centralizer", refuse)
+    corpus = pg.standard_corpus()  # fresh groups: no factor is cached
+    suites = {
+        "verify-corollary": lambda: pg.verify_theorem1(corpus, pg.NILPOTENT),
+        "verify-baer": lambda: pg.verify_baer(corpus),
+        "verify-remark4": lambda: pg.verify_remark4(corpus),
+        "compare-nca": lambda: pg.compare_nca(corpus),
+    }
+    for suite, reports in suites.items():
+        lines = "".join(r.to_json(include_timing=False) + "\n" for r in reports())
+        assert lines == (GOLDEN / f"{suite}-standard.jsonl").read_text(), suite
+
+
 def test_report_suite_writes_each_record_before_the_next():
     from permgroups.cli import _report_suite
     from permgroups.errors import VerificationError

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import permgroups as pg
-from permgroups.classes import _centralizer_quotient, is_class_central
+from permgroups.classes import is_class_central
 from permgroups.errors import ResourceLimitError
 from permgroups.limits import current
 
@@ -112,10 +112,10 @@ def test_centralizer_quotient_cache_honours_limits():
     G = pg.direct_product(pg.symmetric(4), pg.cyclic(3))
     cf = next(cf for cf in pg.chief_series(G).factors if cf.centralizer.order == 12)
     assert is_class_central(cf, pg.NILPOTENT) is False
-    quotient = _centralizer_quotient(cf)
+    quotient = cf.image
     with pg.limits_scope(pg.Limits(enumeration=10)):
         assert is_class_central(cf, pg.NILPOTENT) is False
-        assert _centralizer_quotient(cf) is quotient
+        assert cf.image is quotient
     assert is_class_central(cf, pg.NILPOTENT) is False
 
 
