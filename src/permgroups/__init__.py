@@ -34,7 +34,7 @@ from .named import (
     special_linear2,
     symmetric,
 )
-from .lattice import SubgroupLattice, all_subgroups
+from .lattice import SubgroupLattice, all_subgroups, nilpotent_subgroups
 from .chiefs import (
     ChiefFactor,
     ChiefSeries,

@@ -31,6 +31,7 @@ from .groups import (
     Quotient,
     Subgroup,
     centralizer,
+    commutes_with,
     join_subgroups,
     quotient_group,
     subgroup_from_elements,
@@ -60,11 +61,6 @@ class ChiefFactor:
             g: self.action_of(g) for g in self.ambient.generators
         }
         self.image = PermGroup(len(self.cosets), self.action.values())
-
-    def factor_coset_of_element(self, h: Permutation) -> int:
-        if not self.upper.contains(h):
-            raise InputError("element does not belong to the upper term")
-        return self._coset_of[self.quotient.project(h).images]
 
     def action_of(self, g: Permutation) -> Permutation:
         """The permutation of the coset set induced by conjugation with g."""
@@ -164,6 +160,17 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     minimal.sort(key=_encoding)
     G._cache[key] = tuple(minimal)
     return minimal
+
+
+def central_minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
+    """The central members of ``minimal_normal_subgroups(G)``: the <x> with x
+    central of prime order, each generated by its least nontrivial element and
+    listed by it, which is their encoding order, as two of them meet trivially."""
+    found: list[Subgroup] = []
+    for x in filter(commutes_with(G), G.elements()):
+        if _has_prime_order(x) and not any(c.contains(x) for c in found):
+            found.append(subgroup_from_elements(G, [x]))
+    return found
 
 
 def _has_prime_order(x: Permutation) -> bool:

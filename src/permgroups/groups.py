@@ -74,9 +74,7 @@ class PermGroup:
     def is_abelian(self) -> bool:
         val = self._cache.get("abelian")
         if val is None:
-            gens = self.generators
-            val = all(a * b == b * a for a in gens for b in gens)
-            self._cache["abelian"] = val
+            val = self._cache["abelian"] = all(map(commutes_with(self), self.generators))
         return val
 
     def elements(self) -> tuple[Permutation, ...]:
@@ -238,9 +236,18 @@ def centralizer(G: PermGroup, S: PermGroup) -> Subgroup:
     for s in S.generators:
         if not G.contains(s):
             raise InputError("S is not a subgroup of G")
-    sgens = S.generators
-    passing = [g for g in G.elements() if all(g * s == s * g for s in sgens)]
-    return subgroup_from_elements(G, passing)
+    return subgroup_from_elements(G, filter(commutes_with(S), G.elements()))
+
+
+def commutes_with(S: PermGroup) -> Callable[[Permutation], bool]:
+    """The test whether g commutes with every generator of S, on image tuples."""
+    sgens = [(itemgetter(*s.images), s.images) for s in S.generators]
+
+    def commutes(g: Permutation) -> bool:
+        times = itemgetter(*g.images)  # g * s for an image tuple s
+        return all(times(s) == s_times(g.images) for s_times, s in sgens)
+
+    return commutes
 
 
 def center(G: PermGroup) -> Subgroup:

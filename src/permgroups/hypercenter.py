@@ -12,6 +12,7 @@ from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chiefs import ChiefFactor, all_generators_induce_inner, minimal_normal_subgroups
+from .chiefs import central_minimal_normal_subgroups
 from .classes import (
     GroupClass,
     NCA,
@@ -23,7 +24,7 @@ from .classes import (
 )
 from .errors import ResourceLimitError, VerificationError
 from .groups import PermGroup, Subgroup, quotient_group, upper_central_series
-from .lattice import all_subgroups
+from .lattice import all_subgroups, nilpotent_subgroups
 from .limits import cache_key
 from .perms import format_permutation
 
@@ -75,17 +76,19 @@ class VerificationReport:
 def _climb(
     G: PermGroup,
     step_ok: Callable[[ChiefFactor], bool],
+    candidates: Callable[[PermGroup], list[Subgroup]] | None = None,
 ) -> tuple[Subgroup, tuple[tuple[Subgroup, int, bool], ...]]:
     """Greedy ascent: lift one admissible minimal normal subgroup per step.
 
-    Candidates are scanned in their deterministic encoding order; the climb
-    stops when no minimal normal subgroup of G/Z passes the step predicate.
+    ``candidates(G/Z)`` lists the minimal normal subgroups of G/Z that may
+    pass, in their deterministic encoding order (all of them by default);
+    the climb stops when none passes the step predicate.
     """
     Z = G.trivial_subgroup()
     trace: list[tuple[Subgroup, int, bool]] = []
     while Z.order < G.order:
         Q = quotient_group(G, Z)
-        for mn in minimal_normal_subgroups(Q.group):
+        for mn in (candidates or minimal_normal_subgroups)(Q.group):
             cf = ChiefFactor(Q, mn)
             if step_ok(cf):
                 break
@@ -97,11 +100,13 @@ def _climb(
 
 
 def hypercenter(G: PermGroup, X: GroupClass) -> HypercenterResult:
-    """Z_X(G) via the greedy climb over X-central minimal normal subgroups."""
+    """Z_X(G) via the greedy climb over X-central minimal normal subgroups; an
+    N-central chief factor is central, so the N climb is offered those in Z(G/Z)."""
     key = cache_key("hypercenter", X)
     cached = G._cache.get(key)
     if cached is None:
-        Z, trace = _climb(G, lambda cf: is_class_central(cf, X))
+        central_only = central_minimal_normal_subgroups if X is NILPOTENT else None
+        Z, trace = _climb(G, lambda cf: is_class_central(cf, X), central_only)
         cached = G._cache[key] = HypercenterResult(G, X.name, Z, trace)
     return cached
 
@@ -116,7 +121,7 @@ def semidirect_hypercenter(G: PermGroup, X: GroupClass) -> Subgroup:
 
 def intersection_of_class_maximal(G: PermGroup, X: GroupClass) -> Subgroup:
     """Int_X(G): elementwise intersection of all X-maximal subgroups of G."""
-    lattice = all_subgroups(G)
+    lattice = nilpotent_subgroups(G) if X is NILPOTENT else all_subgroups(G)
     masks = lattice.class_maximal_masks(X)
     mask = (1 << G.order) - 1
     for m in masks:

@@ -33,6 +33,16 @@ their right multiplication arrays, come from image tuples; the arrays of any
 other element a join uses are composed from them along its word.  Each
 cyclic seed <x> is read off the powers of x's image tuple.
 
+The nilpotent subgroups alone (``nilpotent_subgroups``) come from the same
+build admitting only nilpotent joins: subgroups of a nilpotent group are
+nilpotent, so it meets the same nilpotent representatives in the same order
+and keeps their masks and generators.  A nilpotent group's p-elements form its
+Sylow p-subgroup, which commutes with the others (Robinson 5.2.4).  So a p-seed
+s is not joined when it fails to commute with a generator of H of another
+prime, or s * g is no p-element for a p-generator g of H.  Seeds in the join
+J of such an s, if |J : H| is prime, then join to J, not nilpotent, as in the
+full build, where J covers them.
+
 Subgroups are identified by their element set, encoded as a bitmask over the
 sorted element list of the ambient group; generator lists are never compared.
 
@@ -110,9 +120,9 @@ class _CosetTable:
 
 
 class SubgroupLattice:
-    """All subgroups of a small ambient group, with conjugation orbits."""
+    """All subgroups (``_nilpotent``: the nilpotent ones) of a small group, with orbits."""
 
-    def __init__(self, ambient: PermGroup):
+    def __init__(self, ambient: PermGroup, *, _nilpotent: bool = False):
         n = ambient.order
         bound = current().lattice
         if n > bound:
@@ -145,7 +155,7 @@ class SubgroupLattice:
         self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
         self._reset_caches()
-        gen_info, orbits = self._build(index)
+        gen_info, orbits = self._build(index, _nilpotent)
         # the caches hold up to n arrays of n entries, and the lattice outlives them
         self._reset_caches()
         # node order: by (subgroup order, mask); deterministic
@@ -235,7 +245,7 @@ class SubgroupLattice:
             cyclic[x] = mask
         return cyclic
 
-    def _build(self, index: dict[tuple, int]) -> tuple[dict[int, tuple[int, ...]], list]:
+    def _build(self, index: dict[tuple, int], nilpotent: bool) -> tuple[dict, list]:
         trivial_mask = 1 << self._identity_idx
         full_mask = self._full_mask
         # the centre, and conjugation by the non-central generators of G
@@ -254,6 +264,7 @@ class SubgroupLattice:
         seed_of = {x: seed_pos[mask] for x, mask in cyclic.items()}
         bits = [1 << x for x in range(self._n)]
         seed_bits = [bits[x] for _, x in seed_list]
+        admits = self._is_nilpotent if nilpotent else lambda mask: True
 
         gen_info: dict[int, tuple[int, ...]] = {trivial_mask: ()}
         orbits: list = [(trivial_mask,)]
@@ -286,7 +297,7 @@ class SubgroupLattice:
             rep_gens = gen_info[rep]
             order = rep.bit_count()
             only_full = not any(d % order == 0 and d > order for d in divisors)
-            if only_full and full_mask in gen_info:
+            if only_full and (full_mask in gen_info or not admits(full_mask)):
                 continue
             # a central generator h of rep fixes every seed and every coset: Hyh = Hy
             moving_gens = [g for g in rep_gens if not central >> g & 1]
@@ -312,14 +323,20 @@ class SubgroupLattice:
                             if not seen[j]:
                                 seen[j] = 1
                                 stack.append(seed_list[j][1])
+                if nilpotent and not only_full:  # the filters of the module docstring
+                    pmask = next(m for m in self._pmasks.values() if m >> seed_gen & 1)
+                    if any(not pmask >> col[seed_gen] & 1 if pmask >> g & 1
+                           else conj[seed_gen] != seed_gen
+                           for g, conj, col in zip(moving_gens, conjs, table.cols)):
+                        continue
                 gens = rep_gens + (seed_gen,)
                 joined = full_mask if only_full else self._closure_mask(gens, table)
                 if is_prime(joined.bit_count() // order):
                     covered |= joined
-                if joined not in gen_info:
+                if joined not in gen_info and admits(joined):
                     admit_orbit(joined, gens)
         # G is generated by its prime-power elements, so some join chain reaches it
-        assert full_mask in gen_info
+        assert full_mask in gen_info or not admits(full_mask)
         return gen_info, orbits
 
     # -- queries -----------------------------------------------------------
@@ -397,3 +414,11 @@ def all_subgroups(G: PermGroup) -> SubgroupLattice:
         cached = G._cache[key] = SubgroupLattice(G)
     return cached
 
+
+def nilpotent_subgroups(G: PermGroup) -> SubgroupLattice:
+    """The nilpotent nodes of ``all_subgroups(G)``, with their masks and generators."""
+    key = cache_key("nilpotent_lattice")
+    cached = G._cache.get(key)
+    if cached is None:
+        cached = G._cache[key] = SubgroupLattice(G, _nilpotent=True)
+    return cached

@@ -210,8 +210,12 @@ def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset
     element of H, and each conjugate's coset is looked up afresh.
     """
     lifts = map(cf.quotient.lift, cf.factor.generators)
-    gen_cosets = [(h, cf.factor_coset_of_element(h)) for h in lifts]
-    coset_of = cf.factor_coset_of_element
+
+    def coset_of(h: Permutation) -> int:  # the index in cf.cosets of h's coset
+        assert cf.upper.contains(h)
+        return cf._coset_of[cf.quotient.project(h).images]
+
+    gen_cosets = [(h, coset_of(h)) for h in lifts]
     passing = []
     for g in cf.ambient.elements():
         g_inv = g.inverse()

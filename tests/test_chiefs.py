@@ -373,7 +373,7 @@ def _assert_centralizer_is_quotient_centralizer(cf):
     assert cf.centralizer.element_set() == oracle.element_set()
 
 
-def _assert_centralizer_quotient_matches_enumerated(cf):
+def _assert_action_image_matches_enumerated_quotient(cf):
     # the action's image against G/C_G(H/K) as an enumerated coset table
     G, Q = cf.ambient, cf.image
     assert Q.order == G.order // cf.centralizer.order
@@ -395,14 +395,14 @@ def test_factor_centralizer_matches_quotient_centralizer_semidirect(remark4_prod
         _assert_centralizer_is_quotient_centralizer(cf)
 
 
-def test_centralizer_quotient_matches_enumerated_quotient_standard(standard):
+def test_action_image_matches_enumerated_quotient_standard(standard):
     for cf in _both_series_factors(standard):
-        _assert_centralizer_quotient_matches_enumerated(cf)
+        _assert_action_image_matches_enumerated_quotient(cf)
 
 
-def test_centralizer_quotient_matches_enumerated_quotient_semidirect(remark4_products):
+def test_action_image_matches_enumerated_quotient_semidirect(remark4_products):
     for cf in _both_series_factors(remark4_products):
-        _assert_centralizer_quotient_matches_enumerated(cf)
+        _assert_action_image_matches_enumerated_quotient(cf)
 
 
 def _image_verdicts_checked(factors) -> tuple[int, int]:

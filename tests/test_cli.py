@@ -337,6 +337,16 @@ def test_hypercenter_output_matches_golden(tmp_path, selector):
     assert out_path.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["hypercenter", "intersection"])
+def test_n_output_matches_golden(tmp_path, command):
+    # Z_N climbs over central candidates only, Int_N reads the nilpotent lattice
+    out_path = tmp_path / "report.jsonl"
+    code = run(CliConfig(command=command, class_selector="N", corpus="standard",
+                         timings=False, output=str(out_path)))
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / f"{command}-N-standard.jsonl").read_bytes()
+
+
 def test_suites_never_build_a_factor_centralizer(monkeypatch):
     # every verdict reads the chief factor's action image, never C_G(H/K)
     def refuse(cf):

@@ -1,11 +1,16 @@
 """Hypercenter climbs, the definitional oracle, Int_X, and the suites."""
 
+import importlib
+
 import pytest
 
 import permgroups as pg
 from permgroups.errors import VerificationError
 
 from conftest import hypercenter_oracle, is_normal
+
+# the module, not the function the package exports under its name
+hypercenter_module = importlib.import_module("permgroups.hypercenter")
 
 
 def _a5xs3():
@@ -164,3 +169,25 @@ def test_lemma_a_containment_independent(standard):
         z = pg.hypercenter(G, pg.QUASINILPOTENT).subgroup
         Int = pg.intersection_of_class_maximal(G, pg.QUASINILPOTENT)
         assert all(Int.contains(g) for g in z.generators), G.name
+
+
+def test_n_climb_candidates_are_the_central_minimal_normal_subgroups(monkeypatch):
+    # at every step of every N climb, on fresh standard groups and every fourth
+    # extended group, against the central members of the full list
+    offer = hypercenter_module.central_minimal_normal_subgroups
+    sizes = []
+
+    def checked(Q):
+        got = offer(Q)
+        want = [mn for mn in pg.minimal_normal_subgroups(Q)
+                if all(g * h == h * g for g in mn.generators for h in Q.generators)]
+        assert [(c.order, c.generators, c.chain.base) for c in got] == [
+            (c.order, c.generators, c.chain.base) for c in want]
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(hypercenter_module, "central_minimal_normal_subgroups", checked)
+    corpus = pg.standard_corpus() + pg.extended_corpus()[::4]
+    while corpus:
+        pg.hypercenter(corpus.pop(), pg.NILPOTENT)  # no group outlives its climb
+    assert (len(sizes), sum(sizes), max(sizes)) == (463, 1425, 121)

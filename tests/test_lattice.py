@@ -375,3 +375,39 @@ def test_quasi_class_shortcut_keeps_input_error():
     F = pg.GroupClass(name="F", membership=lambda H: True)
     with pytest.raises(pg.InputError):
         pg.intersection_of_class_maximal(pg.dihedral(8), pg.quasi_class(F))
+
+
+def _nodes_and_orbits(lattice, keep=lambda mask: True):
+    # mask -> generator indices, and the orbits as sets of masks, of the kept nodes
+    masks = lattice.masks
+    nodes = {m: gens for m, gens in zip(masks, lattice._gen_idxs) if keep(m)}
+    orbits = {frozenset(masks[i] for i in o) for o in lattice.conjugation_orbits
+              if keep(masks[o[0]])}
+    return nodes, orbits
+
+
+def test_nilpotent_lattice_is_the_nilpotent_part_of_the_full_lattice(standard):
+    # the restricted build keeps every nilpotent node's mask and generators
+    # (printed as int_generators) and admits nothing else; on the standard
+    # corpus and every fourth extended product of order 101..600
+    names = {G.name for G in standard}
+    pool = [G for G in pg.extended_corpus() if G.name not in names and 100 < G.order <= 600]
+    corpus = list(standard) + pool[::4]
+    del pool
+    nodes = 0
+    while corpus:
+        G = corpus.pop()  # a product group and its lattices go with the next one
+        full = pg.all_subgroups(G)
+        nilpotent = pg.nilpotent_subgroups(G)
+        assert _nodes_and_orbits(nilpotent) == _nodes_and_orbits(full, full._is_nilpotent), G.name
+        nodes += nilpotent.node_count()
+    assert nodes == 25533
+
+
+def test_nilpotent_lattice_cache_honours_limits():
+    G = pg.symmetric(4)
+    lattice = pg.nilpotent_subgroups(G)
+    assert lattice.node_count() == 24 and lattice is not pg.all_subgroups(G)
+    with pg.limits_scope(pg.Limits(lattice=10)), pytest.raises(ResourceLimitError):
+        pg.nilpotent_subgroups(G)
+    assert pg.nilpotent_subgroups(G) is lattice

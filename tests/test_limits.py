@@ -105,17 +105,18 @@ def test_normal_structure_caches_honour_limits(call):
         assert again is first
 
 
-def test_centralizer_quotient_cache_honours_limits():
-    # the local path's quotient G/C_G(H/K) is the image of the factor's
-    # action and enumerates nothing: a tighter enumeration bound gets the
-    # same verdict from the same cached group
+def test_local_n_verdict_under_enumeration_bound_10():
+    # the local path reads G/C_G(H/K) off the factor's action image (order 6)
+    # and enumerates nothing, so G of order 72 gets its first N verdict
+    # inside a scope whose enumeration bound is 10, and the same one outside
     G = pg.direct_product(pg.symmetric(4), pg.cyclic(3))
     cf = next(cf for cf in pg.chief_series(G).factors if cf.centralizer.order == 12)
-    assert is_class_central(cf, pg.NILPOTENT) is False
-    quotient = cf.image
+    cf._cache.clear()
     with pg.limits_scope(pg.Limits(enumeration=10)):
+        with pytest.raises(ResourceLimitError):
+            G.elements()
         assert is_class_central(cf, pg.NILPOTENT) is False
-        assert cf.image is quotient
+    assert cf.image.order == 6
     assert is_class_central(cf, pg.NILPOTENT) is False
 
 
