@@ -9,8 +9,10 @@ G/C_G(H/K), and every centrality verdict reads that image.  Its kernel, the
 centralizer C_G(H/K), is built only when read, and the preimage of the inner
 automorphisms is exactly H * C_G(H/K).
 
-Chief series are built on demand, one factor at a time, and cached as far as
-they got, so N* and Nca membership stop at the first failing factor.
+Chief series are walked, not kept: ``ascend`` lifts one minimal normal
+subgroup of G/Z per step and stores nothing, so N* and Nca membership stop at
+the first failing factor, and the hypercenter climbs are the same walk with a
+step test.
 
 The factor semidirect product P = (H/K) x| G/C_G(H/K) is built knowing its
 minimal normal subgroups: the right translations M by H/K (minimal, as H/K is
@@ -21,9 +23,8 @@ any other would lie.  So P's chief series enumerates no element of P.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .groups import (
@@ -93,34 +94,39 @@ class ChiefFactor:
         )
 
 
+def ascend(
+    G: PermGroup,
+    step_ok: Callable[[ChiefFactor], bool] = lambda cf: True,
+    candidates: Callable[[PermGroup], list[Subgroup]] | None = None,
+) -> Iterator[ChiefFactor]:
+    """Greedy ascent from Z = 1: each step yields the factor of the first of
+    ``candidates(G/Z)`` (by default the minimal normal subgroups of G/Z, in
+    their encoding order) that passes ``step_ok``, and lifts Z to its upper
+    term.  The walk stops when no candidate passes or Z = G; it keeps nothing."""
+    Z = G.trivial_subgroup()
+    while Z.order < G.order:
+        Q = quotient_group(G, Z)
+        # looked up per step, so an instrumented minimal_normal_subgroups is seen
+        factors = (ChiefFactor(Q, mn) for mn in (candidates or minimal_normal_subgroups)(Q.group))
+        cf = next(filter(step_ok, factors), None)
+        if cf is None:
+            return
+        yield cf
+        Z = cf.upper
+
+
 class ChiefSeries:
-    """An ascending chief series of G from the trivial subgroup to G.  Iterating
-    yields the factors, building each when first reached (one that raises is
-    not recorded); ``terms`` and ``factors`` finish the series."""
+    """An ascending chief series of G from the trivial subgroup to G: the
+    ascent that accepts every factor, walked once on construction."""
 
     def __init__(self, ambient: PermGroup, reverse_tiebreak: bool = False):
-        self.ambient, self._reverse = ambient, reverse_tiebreak
-        self._terms, self._factors = [ambient.trivial_subgroup()], []
+        last_first = (lambda Q: minimal_normal_subgroups(Q)[::-1]) if reverse_tiebreak else None
+        self.factors: tuple[ChiefFactor, ...] = tuple(ascend(ambient, candidates=last_first))
+        self.terms: tuple[Subgroup, ...] = (ambient.trivial_subgroup(),) + tuple(
+            cf.upper for cf in self.factors)
 
     def __iter__(self) -> Iterator[ChiefFactor]:
-        G, terms, factors = self.ambient, self._terms, self._factors
-        for i in count():
-            if i == len(factors):
-                if terms[-1].order == G.order:
-                    return
-                Q = quotient_group(G, terms[-1])
-                mns = minimal_normal_subgroups(Q.group)
-                factors.append(ChiefFactor(Q, mns[-1] if self._reverse else mns[0]))
-                terms.append(factors[-1].upper)
-            yield factors[i]
-
-    @property
-    def terms(self) -> tuple[Subgroup, ...]:
-        return tuple(self._terms[: len(self.factors) + 1])  # factors finishes the series
-
-    @property
-    def factors(self) -> tuple[ChiefFactor, ...]:
-        return tuple(self)
+        return iter(self.factors)
 
     def factor_orders(self) -> tuple[int, ...]:
         return tuple(cf.factor.order for cf in self.factors)
@@ -204,19 +210,7 @@ def chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
     is by least sorted element-set encoding (greatest when reverse_tiebreak),
     so the construction is deterministic.
     """
-    series = _chief_series(G, reverse_tiebreak)
-    for _ in series:  # build the factors not built yet
-        pass
-    return series
-
-
-def _chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
-    """G's chief series as far as it is built (cached under the bounds in effect)."""
-    key = cache_key("chief_series_rev" if reverse_tiebreak else "chief_series")
-    series = G._cache.get(key)
-    if series is None:
-        series = G._cache[key] = ChiefSeries(G, reverse_tiebreak)
-    return series
+    return ChiefSeries(G, reverse_tiebreak)
 
 
 def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
@@ -245,9 +239,7 @@ def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
                 f"H/K is not a chief factor: normal subgroup of order {witness.order} "
                 f"lies strictly between (generators {witness.generators})"
             )
-    if not any(mn == Hbar for mn in minimal_normal_subgroups(Q.group)):
-        raise PreconditionError("H/K is not a minimal normal subgroup of G/K")
-    return ChiefFactor(Q, Hbar)
+    return ChiefFactor(Q, Hbar)  # no smaller normal subgroup inside: Hbar is minimal
 
 
 def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:

@@ -31,8 +31,8 @@ from typing import Callable, Sequence
 
 from .chiefs import (
     ChiefFactor,
-    _chief_series,
     all_generators_induce_inner,
+    ascend,
     factor_semidirect,
     minimal_normal_subgroups,
 )
@@ -152,7 +152,7 @@ def is_quasi_F(G: PermGroup, F: GroupClass) -> bool:
         raise InputError(
             f"quasi-{F.name} membership requires a class containing all nilpotent groups"
         )
-    for cf in _chief_series(G):
+    for cf in ascend(G):
         if all_generators_induce_inner(cf):
             continue
         if is_class_central(cf, F):
@@ -167,7 +167,7 @@ def is_quasinilpotent(G: PermGroup) -> bool:
 
 def is_nca_member(G: PermGroup) -> bool:
     """Abelian chief factors central, non-abelian chief factors simple."""
-    for cf in _chief_series(G):
+    for cf in ascend(G):
         if cf.factor.is_abelian():
             if not cf.is_central():
                 return False
@@ -285,14 +285,15 @@ def class_by_name(selector: str) -> GroupClass:
 # -- s-critical groups ----------------------------------------------------------
 
 
+def is_s_critical(G: PermGroup, X: GroupClass) -> bool:
+    """Is G outside X with all of its maximal subgroups in X?"""
+    if X.member(G):
+        return False
+    lattice = all_subgroups(G)
+    member = dict(zip(lattice.masks, lattice.class_membership(X)))
+    return all(member[m] for m in lattice.maximal_masks())
+
+
 def s_critical_groups(corpus: Sequence[PermGroup], X: GroupClass) -> list[PermGroup]:
     """Groups outside X all of whose maximal subgroups lie in X."""
-    out = []
-    for G in corpus:
-        if X.member(G):
-            continue
-        lattice = all_subgroups(G)
-        member = dict(zip(lattice.masks, lattice.class_membership(X)))
-        if all(member[m] for m in lattice.maximal_masks()):
-            out.append(G)
-    return out
+    return [G for G in corpus if is_s_critical(G, X)]

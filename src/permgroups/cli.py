@@ -28,7 +28,7 @@ from .classes import (
     NILPOTENT,
     QUASINILPOTENT,
     class_by_name,
-    s_critical_groups,
+    is_s_critical,
 )
 from .chiefs import chief_series
 from .corpus import builtin_corpus
@@ -269,17 +269,24 @@ def _report_suite(reports, config: CliConfig, out: TextIO, assert_equal: bool) -
     return 0
 
 
-def _s_critical_cmd(config: CliConfig, groups: Sequence[PermGroup], out: TextIO) -> int:
+def _s_critical_lines(config: CliConfig) -> Callable[[int, PermGroup], Iterator[str]]:
     X = class_by_name(config.class_selector)
-    pool = [G for G in groups if config.max_order is None or G.order <= config.max_order]
-    critical = s_critical_groups(pool, X)
-    names = {id(G): G.name or f"G{i}" for i, G in enumerate(pool)}
-    for G in critical:
-        _emit(out, json.dumps(
-            {"group_id": names[id(G)], "order": G.order, "class": X.name},
-            sort_keys=True,
-        ))
-    return 0
+
+    def lines(i: int, G: PermGroup) -> Iterator[str]:
+        if (config.max_order is None or G.order <= config.max_order) and is_s_critical(G, X):
+            yield json.dumps({"group_id": G.name or f"G{i}", "order": G.order, "class": X.name},
+                             sort_keys=True)
+
+    return lines
+
+
+# per-group commands: config -> the function giving each group's output lines
+PER_GROUP = {
+    "hypercenter": _subgroup_lines,
+    "intersection": _subgroup_lines,
+    "info": lambda config: partial(_info, config),
+    "s-critical": _s_critical_lines,
+}
 
 
 def run(config: CliConfig) -> int:
@@ -305,12 +312,8 @@ def run(config: CliConfig) -> int:
                     class_name, sides, assert_equal = SUITES[config.command]
                     return _report_suite(run_suite(_release(groups), class_name, sides),
                                          config, sink, assert_equal)
-                if config.command in SUBGROUP_COMMANDS:
-                    return _per_group(_subgroup_lines(config), groups, sink)
-                if config.command == "info":
-                    return _per_group(partial(_info, config), groups, sink)
-                if config.command == "s-critical":
-                    return _s_critical_cmd(config, groups, sink)
+                if config.command in PER_GROUP:
+                    return _per_group(PER_GROUP[config.command](config), groups, sink)
                 raise InputError(f"unknown command {config.command!r}")
     finally:
         if freeze:

@@ -401,12 +401,8 @@ def upper_central_series(G: PermGroup) -> list[Subgroup]:
     """Ascending central series 1 <= Z1 <= Z2 <= ..., ending at the hypercenter."""
     terms = [G.trivial_subgroup()]
     while True:
-        Z = terms[-1]
-        Q = quotient_group(G, Z)
+        Q = quotient_group(G, terms[-1])
         zbar = center(Q.group)
         if zbar.is_trivial():
             return terms
-        nxt = Q.lift_subgroup(zbar)
-        if nxt.order == Z.order:
-            return terms
-        terms.append(nxt)
+        terms.append(Q.lift_subgroup(zbar))

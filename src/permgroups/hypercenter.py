@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .chiefs import ChiefFactor, all_generators_induce_inner, minimal_normal_subgroups
+from .chiefs import ChiefFactor, all_generators_induce_inner, ascend
 from .chiefs import central_minimal_normal_subgroups
 from .classes import (
     GroupClass,
@@ -23,7 +23,7 @@ from .classes import (
     quasi_class,
 )
 from .errors import ResourceLimitError, VerificationError
-from .groups import PermGroup, Subgroup, quotient_group, upper_central_series
+from .groups import PermGroup, Subgroup, upper_central_series
 from .lattice import all_subgroups, nilpotent_subgroups
 from .limits import cache_key
 from .perms import format_permutation
@@ -78,25 +78,11 @@ def _climb(
     step_ok: Callable[[ChiefFactor], bool],
     candidates: Callable[[PermGroup], list[Subgroup]] | None = None,
 ) -> tuple[Subgroup, tuple[tuple[Subgroup, int, bool], ...]]:
-    """Greedy ascent: lift one admissible minimal normal subgroup per step.
-
-    ``candidates(G/Z)`` lists the minimal normal subgroups of G/Z that may
-    pass, in their deterministic encoding order (all of them by default);
-    the climb stops when none passes the step predicate.
-    """
-    Z = G.trivial_subgroup()
-    trace: list[tuple[Subgroup, int, bool]] = []
-    while Z.order < G.order:
-        Q = quotient_group(G, Z)
-        for mn in (candidates or minimal_normal_subgroups)(Q.group):
-            cf = ChiefFactor(Q, mn)
-            if step_ok(cf):
-                break
-        else:  # no admissible candidate
-            break
-        trace.append((cf.upper, cf.factor.order, True))
-        Z = cf.upper
-    return Z, tuple(trace)
+    """Greedy ascent (``chiefs.ascend``): lift one admissible minimal normal
+    subgroup per step, until none of ``candidates(G/Z)`` passes ``step_ok``.
+    Returns the top Z and the (term, factor order, True) of each step."""
+    trace = tuple((cf.upper, cf.factor.order, True) for cf in ascend(G, step_ok, candidates))
+    return (trace[-1][0] if trace else G.trivial_subgroup()), trace
 
 
 def hypercenter(G: PermGroup, X: GroupClass) -> HypercenterResult:

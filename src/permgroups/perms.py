@@ -107,7 +107,7 @@ class Permutation:
             ident = _IDENTITY_IMAGES[n] = tuple(range(n))
         return images == ident
 
-    def cycles(self, include_fixed: bool = False) -> list[list[int]]:
+    def cycles(self) -> list[list[int]]:
         """Disjoint cycles, each starting at its least point, sorted by it."""
         images = self.images
         seen = [False] * len(images)
@@ -122,7 +122,7 @@ class Permutation:
                 cycle.append(nxt)
                 seen[nxt] = True
                 nxt = images[nxt]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(cycle)
         return out
 

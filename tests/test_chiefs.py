@@ -1,7 +1,9 @@
 """Minimal normal subgroups, chief series/factors, inner induction,
 and the factor semidirect product."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -268,9 +270,7 @@ def test_quasi_F_walk_stops_at_the_first_failing_factor(monkeypatch):
     built = _record_chief_factors(monkeypatch)
     assert pg.QUASINILPOTENT.member(P) is False
     assert len(built) == 1
-    # a full request resumes the walked series, and equals a fresh copy's
-    series = pg.chief_series(P)
-    assert series.factors[0] is built[0] and len(built) == len(series.factors) == 3
+    # the full series equals a fresh copy's
     fresh = pg.PermGroup(P.degree, P.generators)
     for reverse in (False, True):
         assert _same_series(pg.chief_series(P, reverse), pg.chief_series(fresh, reverse))
@@ -282,23 +282,21 @@ def test_nca_walk_stops_at_the_first_failing_factor(monkeypatch):
     built = _record_chief_factors(monkeypatch)
     assert pg.is_nca_member(S4) is False
     assert len(built) == 1
-    assert pg.chief_series(S4).factor_orders() == (4, 3, 2) and len(built) == 3
+    assert pg.chief_series(S4).factor_orders() == (4, 3, 2)
 
 
 def test_chief_walk_records_no_factor_that_raises(monkeypatch):
     # under a tighter enumeration bound the walk raises before its first
-    # factor is built, and leaves none in the series cached for that bound
+    # factor is built, and the next walk under the default bounds finishes
     S5 = pg.symmetric(5)
     tight = pg.Limits(enumeration=10)
     with pg.limits_scope(tight):
         with pytest.raises(ResourceLimitError):
             pg.is_quasinilpotent(S5)
-        series = chiefs._chief_series(S5)
-        assert series._factors == [] and len(series._terms) == 1
     assert pg.chief_series(S5).factor_orders() == (60, 2)
     assert [t.order for t in pg.chief_series(S5).terms] == [1, 60, 120]
-    # a factor whose construction raises midway is not recorded either: the
-    # walk resumes at it and finishes the same series as a fresh group's
+    # a factor whose construction raises midway leaves nothing behind either:
+    # the next walk finishes the same series as a fresh group's
     S4 = pg.symmetric(4)
     init = chiefs.ChiefFactor.__init__
     calls = []
@@ -312,9 +310,30 @@ def test_chief_walk_records_no_factor_that_raises(monkeypatch):
     monkeypatch.setattr(chiefs.ChiefFactor, "__init__", second_raises)
     with pytest.raises(ResourceLimitError):
         pg.chief_series(S4)
-    series = chiefs._chief_series(S4)
-    assert len(series._factors) == 1 and len(series._terms) == 2
     assert _same_series(pg.chief_series(S4), pg.chief_series(pg.symmetric(4)))
+
+
+@pytest.mark.parametrize("member", [pg.is_quasinilpotent, pg.is_nca_member],
+                         ids=["quasinilpotent", "nca"])
+@pytest.mark.parametrize("make", [
+    lambda: pg.symmetric(5),
+    lambda: pg.direct_product(pg.alternating(5), pg.symmetric(3), name="A5xS3"),
+], ids=["S5", "A5xS3"])
+def test_membership_walk_keeps_no_chief_factor(monkeypatch, member, make):
+    # the walk stores nothing on G: once the verdict is out, every factor it
+    # built is garbage while G lives on
+    refs = []
+    init = chiefs.ChiefFactor.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(chiefs.ChiefFactor, "__init__", recording)
+    G = make()
+    member(G)
+    gc.collect()
+    assert refs and [ref() for ref in refs] == [None] * len(refs)
 
 
 # -- fast paths against their slow oracles --------------------------------------

@@ -421,15 +421,18 @@ def test_run_restores_default_limits(tmp_path):
     assert current() is pg.DEFAULT_LIMITS
 
 
-@pytest.mark.parametrize("suite", sorted(cli.SUITES) + ["info", "hypercenter", "intersection"])
+@pytest.mark.parametrize(
+    "suite", sorted(cli.SUITES) + ["info", "hypercenter", "intersection", "s-critical"])
 def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, suite):
-    # also the per-group commands; an info record is the lines from its "group" line on
-    refs = []
+    # also the per-group commands; an info record is the lines from its "group"
+    # line on, and s-critical writes a record for the critical groups only
+    refs, names = [], []
     load = cli._load_groups
 
     def recording(config):
         groups = load(config)
         refs.extend(weakref.ref(G) for G in groups)
+        names.extend(G.name for G in groups)
         return groups
 
     class Sink(io.StringIO):
@@ -437,8 +440,10 @@ def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, suite):
 
         def write(self, text):
             if suite != "info" or text.startswith("group "):
-                # every group whose record came earlier is freed already
-                assert [ref() for ref in refs[:self.records]] == [None] * self.records
+                # every group ahead of this record's group is freed already
+                ahead = (names.index(json.loads(text)["group_id"]) if suite == "s-critical"
+                         else self.records)
+                assert [ref() for ref in refs[:ahead]] == [None] * ahead
                 self.records += 1
             return super().write(text)
 
@@ -447,7 +452,8 @@ def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, suite):
     monkeypatch.setattr(sys, "stdout", sink)
     assert run(CliConfig(command=suite, corpus="smoke", timings=False,
                          emit_generators=suite == "info")) == 0
-    assert sink.records == len(refs) == 12
+    assert len(refs) == 12
+    assert sink.records == (1 if suite == "s-critical" else 12)  # S3 is N*-critical
     assert [ref() for ref in refs] == [None] * 12
 
 
