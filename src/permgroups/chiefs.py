@@ -53,7 +53,6 @@ class ChiefFactor:
         self.ambient: PermGroup = quotient.ambient
         self.lower: Subgroup = quotient.kernel
         self.upper: Subgroup = quotient.lift_subgroup(factor)
-        self._cache: dict = {}
         # the cosets of K in H are the elements of H/K
         self.cosets: tuple[Permutation, ...] = factor.elements()
         self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
@@ -248,12 +247,7 @@ def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
     The action homomorphism sends H onto Inn(H/K), so the full preimage of
     the inner automorphisms is H * C_G(H/K); in particular it is a subgroup.
     """
-    cached = cf._cache.get("inner_subgroup")
-    if cached is None:
-        cached = cf._cache["inner_subgroup"] = join_subgroups(
-            cf.ambient, cf.upper, cf.centralizer
-        )
-    return cached
+    return join_subgroups(cf.ambient, cf.upper, cf.centralizer)
 
 
 def all_generators_induce_inner(cf: ChiefFactor) -> bool:
@@ -288,15 +282,11 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     lim = current()
     n = cf.factor.order
     quot = cf.image.order
-    # every call checks the bounds, also when the product is cached
     if n > lim.semidirect_degree or n * quot > lim.enumeration:
         raise ResourceLimitError(
             f"factor semidirect product of order {n * quot} on {n} points "
             f"exceeds the configured bounds"
         )
-    cached = cf._cache.get("factor_semidirect")
-    if cached is not None:
-        return cached
     coset_of = cf._coset_of
     right, left = (  # the translations by H/K's generators
         [Permutation._unchecked(tuple(coset_of[times(c, h).images] for c in cf.cosets))
@@ -310,5 +300,4 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
         cls = next(walk_classes(product, elems, _has_prime_order, set()))
         normals.append(subgroup_from_elements(product, cls, _bound=product.order))
     product._cache[cache_key("min_normals")] = tuple(sorted(normals, key=_encoding))
-    cf._cache["factor_semidirect"] = product
     return product

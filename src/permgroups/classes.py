@@ -19,8 +19,9 @@ kernel C_G(H/K).
 The definitional semidirect path stays available, and both shortcuts are
 asserted equal to it on every corpus chief factor in the tests.
 
-Classes compare and hash by identity, so caches keyed by a class never
-serve one class's verdicts to another class that shares its name.
+Classes compare and hash by identity.  Only ``lattice.MASK_RULES`` is keyed
+by class, so it never serves one class's rule to another class that shares
+its name; no verdict is cached.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .chiefs import (
 from .errors import InputError
 from .groups import PermGroup, commutator_subgroup
 from .lattice import MASK_RULES, all_subgroups
-from .limits import cache_key, check_degree
+from .limits import check_degree
 from .primes import is_prime, prime_divisors
 
 
@@ -62,11 +63,7 @@ class GroupClass:
     contains_nilpotent: bool = False
 
     def member(self, G: PermGroup) -> bool:
-        key = cache_key("class_member", self)
-        cached = G._cache.get(key)
-        if cached is None:
-            cached = G._cache[key] = bool(self.membership(G))
-        return cached
+        return bool(self.membership(G))
 
 
 # -- elementary predicates ---------------------------------------------------
@@ -74,22 +71,15 @@ class GroupClass:
 
 def is_nilpotent(G: PermGroup) -> bool:
     """Lower central series test: iterated [G, L] must reach the trivial group."""
-    cached = G._cache.get("nilpotent")
-    if cached is not None:
-        return cached
     whole = G.self_subgroup()
     L = whole
     while True:
         nxt = commutator_subgroup(G, whole, L)
         if nxt.order == 1:
-            verdict = True
-            break
+            return True
         if nxt.order == L.order:
-            verdict = False
-            break
+            return False
         L = nxt
-    G._cache["nilpotent"] = verdict
-    return verdict
 
 
 def is_p_group(G: PermGroup, p: int) -> bool:
@@ -124,18 +114,11 @@ def is_class_central(cf: ChiefFactor, X: GroupClass) -> bool:
     the local path, and the rest build and test the semidirect product, whose
     resource errors propagate.
     """
-    key = cache_key("central", X)
-    cached = cf._cache.get(key)
-    if cached is not None:
-        return cached
     if X.central_test is not None:
-        verdict = X.central_test(cf)
-    elif X.local_definition is not None:
-        verdict = is_class_central_local(cf, X)
-    else:
-        verdict = is_class_central_semidirect(cf, X)
-    cf._cache[key] = verdict
-    return verdict
+        return X.central_test(cf)
+    if X.local_definition is not None:
+        return is_class_central_local(cf, X)
+    return is_class_central_semidirect(cf, X)
 
 
 # -- quasi-F membership --------------------------------------------------------
@@ -183,7 +166,8 @@ def is_nca_member(G: PermGroup) -> bool:
 
 @cache
 def p_groups(p: int) -> GroupClass:
-    """The class of p-groups; one object per prime, so class-keyed caches hit.
+    """The class of p-groups; one object per prime, so ``MASK_RULES`` holds one
+    rule per prime.
     p is checked when its class is first built, and not again by membership."""
     # a nontrivial p-group moves at least p points: bound p before trial division
     check_degree(p, f"the p-groups for p = {p}")
@@ -252,7 +236,7 @@ MASK_RULES[ALL_GROUPS] = lambda order, nilpotent: True
 @cache
 def quasi_class(F: GroupClass) -> GroupClass:
     """The class F* of quasi-F groups (N* when F is the nilpotent class);
-    one object per F, so class-keyed caches hit across calls."""
+    one object per F, so ``MASK_RULES`` holds one rule per F."""
     if F is NILPOTENT:
         return QUASINILPOTENT
     Fstar = GroupClass(

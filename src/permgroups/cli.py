@@ -10,7 +10,6 @@ record as soon as that group is done.
 from __future__ import annotations
 
 import argparse
-import gc
 import inspect
 import json
 import os
@@ -187,7 +186,6 @@ def _per_group(lines: Callable[..., Iterator[str]], groups: list[PermGroup], out
     for block in map(lines, count(), _release(groups)):
         for line in block:
             _emit(out, line)
-        gc.collect()  # the finished group's cache and the group refer to each other
     return 0
 
 
@@ -248,7 +246,6 @@ def _report_suite(reports, config: CliConfig, out: TextIO, assert_equal: bool) -
     first_error = first_unequal = None
     for report in reports:
         _emit(out, report.to_json(include_timing=config.timings))
-        gc.collect()  # the finished group's cache and the group refer to each other
         if report.error is not None:
             first_error = first_error or report
         if not report.equal:
@@ -291,33 +288,24 @@ PER_GROUP = {
 
 def run(config: CliConfig) -> int:
     """Run one command with the config's bounds in effect; the bounds in
-    effect before, and the collector's frozen set, are back when it returns
-    or raises."""
-    # freezing what is alive before the groups load keeps the interpreter and
-    # module heap out of the collection after each suite record (a frozen
-    # group could never be freed)
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    try:
-        with scope(Limits(config.enumeration_bound, config.lattice_bound,
-                          config.semidirect_bound)):
-            groups = _load_groups(config)
-            try:
-                out = open(config.output, "w") if config.output else nullcontext(sys.stdout)
-            except OSError as exc:
-                raise InputError(f"cannot write output file {config.output!r}: {exc}") from None
-            with out as sink:
-                if config.command in SUITES:
-                    class_name, sides, assert_equal = SUITES[config.command]
-                    return _report_suite(run_suite(_release(groups), class_name, sides),
-                                         config, sink, assert_equal)
-                if config.command in PER_GROUP:
-                    return _per_group(PER_GROUP[config.command](config), groups, sink)
-                raise InputError(f"unknown command {config.command!r}")
-    finally:
-        if freeze:
-            gc.unfreeze()
+    effect before are back when it returns or raises.  Each group is freed by
+    reference counting once its output is written, as nothing a group holds
+    refers back to it."""
+    with scope(Limits(config.enumeration_bound, config.lattice_bound,
+                      config.semidirect_bound)):
+        groups = _load_groups(config)
+        try:
+            out = open(config.output, "w") if config.output else nullcontext(sys.stdout)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {config.output!r}: {exc}") from None
+        with out as sink:
+            if config.command in SUITES:
+                class_name, sides, assert_equal = SUITES[config.command]
+                return _report_suite(run_suite(_release(groups), class_name, sides),
+                                     config, sink, assert_equal)
+            if config.command in PER_GROUP:
+                return _per_group(PER_GROUP[config.command](config), groups, sink)
+            raise InputError(f"unknown command {config.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

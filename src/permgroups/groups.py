@@ -102,10 +102,7 @@ class PermGroup:
         return val
 
     def self_subgroup(self) -> "Subgroup":
-        val = self._cache.get("self_subgroup")
-        if val is None:
-            val = self._cache["self_subgroup"] = Subgroup(self, self.generators, name=self.name)
-        return val
+        return Subgroup(self, self.generators, name=self.name)
 
     def trivial_subgroup(self) -> "Subgroup":
         val = self._cache.get("trivial_subgroup")
@@ -143,7 +140,9 @@ def _check_enumeration(order: int) -> None:
 
 
 class Subgroup(PermGroup):
-    """A subgroup of an ambient group; carries its own stabilizer chain."""
+    """A subgroup of an ambient group, which its generators are checked
+    against; it carries its own stabilizer chain and keeps no reference to
+    the ambient group, so a group's cache never refers back to the group."""
 
     def __init__(
         self,
@@ -159,7 +158,6 @@ class Subgroup(PermGroup):
             if not ambient.contains(g):
                 raise InputError(f"generator {g!r} is not a member of the ambient group")
         super().__init__(ambient.degree, generators, name=name, _chain=_chain, _bound=_bound)
-        self.ambient = ambient
 
 
 def walk_classes(

@@ -25,7 +25,6 @@ from .classes import (
 from .errors import ResourceLimitError, VerificationError
 from .groups import PermGroup, Subgroup, upper_central_series
 from .lattice import all_subgroups, nilpotent_subgroups
-from .limits import cache_key
 from .perms import format_permutation
 
 
@@ -88,13 +87,9 @@ def _climb(
 def hypercenter(G: PermGroup, X: GroupClass) -> HypercenterResult:
     """Z_X(G) via the greedy climb over X-central minimal normal subgroups; an
     N-central chief factor is central, so the N climb is offered those in Z(G/Z)."""
-    key = cache_key("hypercenter", X)
-    cached = G._cache.get(key)
-    if cached is None:
-        central_only = central_minimal_normal_subgroups if X is NILPOTENT else None
-        Z, trace = _climb(G, lambda cf: is_class_central(cf, X), central_only)
-        cached = G._cache[key] = HypercenterResult(G, X.name, Z, trace)
-    return cached
+    central_only = central_minimal_normal_subgroups if X is NILPOTENT else None
+    Z, trace = _climb(G, lambda cf: is_class_central(cf, X), central_only)
+    return HypercenterResult(G, X.name, Z, trace)
 
 
 def semidirect_hypercenter(G: PermGroup, X: GroupClass) -> Subgroup:
@@ -157,10 +152,10 @@ def run_suite(
     any other error propagates after the earlier groups' reports have been
     yielded.
 
-    Once a group's report is out the suite holds nothing of it.  Over a
-    generator that holds no group it has handed out, with ``gc.collect()``
-    after each report (a group's cache refers back to it), a run needs the
-    memory of its largest group, as in the CLI; ``verify_*`` return lists.
+    Once a group's report is out the suite holds nothing of it, and nothing
+    a group holds refers back to it, so reference counting frees it.  Over a
+    generator that holds no group it has handed out, a run needs the memory
+    of its largest group, as in the CLI; ``verify_*`` return lists.
     """
 
     def report(index: int, G: PermGroup) -> VerificationReport:

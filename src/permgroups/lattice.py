@@ -79,7 +79,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import ResourceLimitError
 from .groups import PermGroup, Subgroup
-from .limits import cache_key, current
+from .limits import current
 from .primes import is_prime, is_prime_power, prime_divisors, smallest_prime_factor
 
 if TYPE_CHECKING:
@@ -117,6 +117,21 @@ class _CosetTable:
         self.cosets.append(coset)
         self.masks.append(sum(map(self.bits.__getitem__, coset)))
         return d
+
+
+def _compose(word: dict[int, tuple[int, int]], cache: dict[int, array],
+             gen_arrays: list[array], x: int) -> array:
+    """Array of element x for an action given on G's generators, composed along
+    x's word (x is ``word[x][0]`` times generator ``word[x][1]``)."""
+    path = []
+    while x not in cache:
+        path.append(x)
+        x = word[x][0]
+    arr = cache[x]
+    for y in reversed(path):
+        step = gen_arrays[word[y][1]]
+        arr = cache[y] = array("H", map(step.__getitem__, arr))
+    return arr
 
 
 class SubgroupLattice:
@@ -173,20 +188,10 @@ class SubgroupLattice:
     def _reset_caches(self) -> None:
         # _column(x)[e] is the index of e*x, _conj(x)[e] that of x^-1*e*x
         identity = array("H", range(self._n))
-        self._column = partial(self._compose, {self._identity_idx: identity}, self._gen_columns)
-        self._conj = partial(self._compose, {self._identity_idx: identity}, self._conj_arrays)
-
-    def _compose(self, cache: dict[int, array], gen_arrays: list[array], x: int) -> array:
-        """Array of element x for an action given on G's generators, composed along x's word."""
-        path = []
-        while x not in cache:
-            path.append(x)
-            x = self._word[x][0]
-        arr = cache[x]
-        for y in reversed(path):
-            step = gen_arrays[self._word[y][1]]
-            arr = cache[y] = array("H", map(step.__getitem__, arr))
-        return arr
+        self._column = partial(_compose, self._word, {self._identity_idx: identity},
+                               self._gen_columns)
+        self._conj = partial(_compose, self._word, {self._identity_idx: identity},
+                             self._conj_arrays)
 
     def _closure_mask(self, gen_idxs: tuple[int, ...], table: _CosetTable) -> int:
         """Mask of <gens>, given the right coset table of H = <gens[:-1]>;
@@ -408,17 +413,9 @@ class SubgroupLattice:
 
 def all_subgroups(G: PermGroup) -> SubgroupLattice:
     """Enumerate every subgroup of G (|G| capped by the lattice bound)."""
-    key = cache_key("lattice")
-    cached = G._cache.get(key)
-    if cached is None:
-        cached = G._cache[key] = SubgroupLattice(G)
-    return cached
+    return SubgroupLattice(G)
 
 
 def nilpotent_subgroups(G: PermGroup) -> SubgroupLattice:
     """The nilpotent nodes of ``all_subgroups(G)``, with their masks and generators."""
-    key = cache_key("nilpotent_lattice")
-    cached = G._cache.get(key)
-    if cached is None:
-        cached = G._cache[key] = SubgroupLattice(G, _nilpotent=True)
-    return cached
+    return SubgroupLattice(G, _nilpotent=True)

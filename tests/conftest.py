@@ -231,11 +231,11 @@ def naive_project(Q: pg.Quotient, g: Permutation) -> Permutation:
     return Permutation([Q._coset_of[(rep * g).images] for rep in Q.reps])
 
 
-def is_normal(S: pg.Subgroup) -> bool:
-    """Is S normal in its ambient group: does it hold every conjugate of its
-    generators by the ambient group's generators?"""
-    return all(
-        S.contains(g.inverse() * s * g) for s in S.generators for g in S.ambient.generators
+def is_normal(G: pg.PermGroup, S: pg.PermGroup) -> bool:
+    """Is S a normal subgroup of G: does G hold S's generators, and S every
+    conjugate of them by G's generators?"""
+    return all(G.contains(s) for s in S.generators) and all(
+        S.contains(g.inverse() * s * g) for s in S.generators for g in G.generators
     )
 
 

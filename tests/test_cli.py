@@ -347,6 +347,25 @@ def test_n_output_matches_golden(tmp_path, command):
     assert out_path.read_bytes() == (GOLDEN / f"{command}-N-standard.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("command, selector, golden", [
+    ("info", "N*", "info-generators-standard.txt"),
+    ("s-critical", "N", "s-critical-N-standard.jsonl"),
+    ("s-critical", "N*", "s-critical-Nstar-standard.jsonl"),
+    ("hypercenter", "N*", "hypercenter-Nstar-standard.jsonl"),
+    ("hypercenter", "Nca", "hypercenter-Nca-standard.jsonl"),
+    ("intersection", "N*", "intersection-Nstar-standard.jsonl"),
+    ("intersection", "Nca", "intersection-Nca-standard.jsonl"),
+])
+def test_per_group_output_matches_golden(tmp_path, command, selector, golden):
+    # class verdicts, hypercenters and lattices, each got once per group
+    out_path = tmp_path / "report.txt"
+    code = run(CliConfig(command=command, class_selector=selector, corpus="standard",
+                         timings=False, output=str(out_path),
+                         emit_generators=command == "info"))
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_suites_never_build_a_factor_centralizer(monkeypatch):
     # every verdict reads the chief factor's action image, never C_G(H/K)
     def refuse(cf):
@@ -421,11 +440,49 @@ def test_run_restores_default_limits(tmp_path):
     assert current() is pg.DEFAULT_LIMITS
 
 
-@pytest.mark.parametrize(
-    "suite", sorted(cli.SUITES) + ["info", "hypercenter", "intersection", "s-critical"])
-def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, suite):
+@pytest.fixture
+def collection_off():
+    """Automatic collection off for the test, so only reference counting frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+SUBGROUP_COMMANDS = ["hypercenter", "intersection", "s-critical"]
+COMMANDS = sorted(cli.SUITES) + ["info"] + SUBGROUP_COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_leaves_nothing_for_the_collector(tmp_path, collection_off, command):
+    # nothing a group holds refers back to it: no collection during the run
+    # frees anything, and none is needed after it
+    collected = []
+
+    def record(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    gc.callbacks.append(record)
+    try:
+        classes = ("N", "N*", "Nca") if command in SUBGROUP_COMMANDS else ("N*",)
+        for selector in classes:
+            assert run(CliConfig(command=command, class_selector=selector, corpus="standard",
+                                 timings=False, output=str(tmp_path / "out.txt"),
+                                 emit_generators=command == "info")) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert not any(collected)
+
+
+@pytest.mark.parametrize("suite", COMMANDS)
+def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, collection_off, suite):
     # also the per-group commands; an info record is the lines from its "group"
-    # line on, and s-critical writes a record for the critical groups only
+    # line on, and s-critical writes a record for the critical groups only;
+    # with automatic collection off, reference counting frees each group
     refs, names = [], []
     load = cli._load_groups
 

@@ -35,11 +35,12 @@ def test_hypercenter_examples():
 
 
 def test_hypercenter_climb_trace():
-    result = pg.hypercenter(pg.special_linear2(5), pg.QUASINILPOTENT)
+    G = pg.special_linear2(5)
+    result = pg.hypercenter(G, pg.QUASINILPOTENT)
     assert result.subgroup.order == 120
     assert [order for _, order, _ in result.climb_trace] == [2, 60]
     assert all(verdict for _, _, verdict in result.climb_trace)
-    assert is_normal(result.subgroup)
+    assert is_normal(G, result.subgroup)
 
 
 def test_hypercenter_stops_when_no_central_factor_remains():
@@ -63,7 +64,7 @@ def test_hypercenter_oracle_examples():
 def test_hypercenter_z_is_normal():
     for G in [pg.symmetric(4), pg.special_linear2(3), pg.dihedral(20)]:
         for X in (pg.NILPOTENT, pg.QUASINILPOTENT):
-            assert is_normal(pg.hypercenter(G, X).subgroup)
+            assert is_normal(G, pg.hypercenter(G, X).subgroup)
 
 
 def test_intersection_examples():
@@ -78,7 +79,7 @@ def test_intersection_examples():
 def test_intersection_is_normal():
     for G in [pg.symmetric(4), pg.symmetric(5), pg.special_linear2(3)]:
         Int = pg.intersection_of_class_maximal(G, pg.QUASINILPOTENT)
-        assert is_normal(Int)
+        assert is_normal(G, Int)
 
 
 def test_inner_induction_hypercenter_examples():

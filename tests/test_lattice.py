@@ -53,7 +53,7 @@ def test_lattice_bound_error():
     assert "100" in str(err.value)
 
 
-def test_lattice_cache_honours_limits():
+def test_lattice_honours_limits():
     G = pg.symmetric(4)
     assert pg.all_subgroups(G).node_count() == 30
     with pg.limits_scope(pg.Limits(lattice=10)), pytest.raises(ResourceLimitError) as err:
@@ -219,7 +219,7 @@ def test_frattini_subgroups():
 
 def test_frattini_is_normal():
     for G in [pg.symmetric(4), pg.dihedral(16), pg.special_linear2(3)]:
-        assert is_normal(_frattini(G))
+        assert is_normal(G, _frattini(G))
 
 
 def test_class_maximal_nilpotent_s4():
@@ -404,10 +404,10 @@ def test_nilpotent_lattice_is_the_nilpotent_part_of_the_full_lattice(standard):
     assert nodes == 25533
 
 
-def test_nilpotent_lattice_cache_honours_limits():
+def test_nilpotent_lattice_honours_limits():
     G = pg.symmetric(4)
     lattice = pg.nilpotent_subgroups(G)
-    assert lattice.node_count() == 24 and lattice is not pg.all_subgroups(G)
+    assert lattice.node_count() == 24 and lattice.masks != pg.all_subgroups(G).masks
     with pg.limits_scope(pg.Limits(lattice=10)), pytest.raises(ResourceLimitError):
         pg.nilpotent_subgroups(G)
-    assert pg.nilpotent_subgroups(G) is lattice
+    assert pg.nilpotent_subgroups(G).masks == lattice.masks

@@ -54,8 +54,8 @@ def test_quotient_respects_enumeration_bound():
         pg.quotient_group(S6, A6)
 
 
-def test_hypercenter_cache_honours_limits():
-    # one call under two Limits: the cached answer is not served to the tight one
+def test_hypercenter_honours_limits():
+    # one call under two Limits: the tight one raises, the default one answers
     S4 = pg.symmetric(4)
     assert pg.hypercenter(S4, pg.NILPOTENT).subgroup.order == 1
     with pg.limits_scope(pg.Limits(enumeration=5)), pytest.raises(ResourceLimitError) as err:
@@ -64,8 +64,8 @@ def test_hypercenter_cache_honours_limits():
     assert pg.hypercenter(S4, pg.NILPOTENT).subgroup.order == 1
 
 
-def test_class_central_cache_honours_limits():
-    # a verdict cached under the default bounds is not served to a tighter one
+def test_class_central_honours_limits():
+    # a verdict got under the default bounds is not served to a tighter one
     cf = pg.chief_series(pg.symmetric(5)).factors[0]  # A5, semidirect order 7200
     assert is_class_central(cf, pg.NCA) is True
     with pg.limits_scope(pg.Limits(enumeration=1000)), pytest.raises(ResourceLimitError):
@@ -73,16 +73,17 @@ def test_class_central_cache_honours_limits():
     assert is_class_central(cf, pg.NCA) is True
 
 
-def test_class_member_cache_honours_limits():
-    # member() runs under the bounds in effect, so its cache is keyed by them
-    calls = []
-    X = pg.GroupClass(name="counted", membership=lambda G: calls.append(G) or True)
+def test_class_member_honours_limits():
+    # member() keeps no verdict: membership runs on every call, under the
+    # bounds in effect
+    seen = []
+    X = pg.GroupClass(name="counted", membership=lambda G: seen.append(current()) or True)
     G = pg.symmetric(3)
     assert X.member(G) and X.member(G)
-    assert len(calls) == 1
-    with pg.limits_scope(pg.Limits(enumeration=5)):
+    tight = pg.Limits(enumeration=5)
+    with pg.limits_scope(tight):
         assert X.member(G)
-    assert len(calls) == 2
+    assert seen == [pg.DEFAULT_LIMITS, pg.DEFAULT_LIMITS, tight]
 
 
 @pytest.mark.parametrize("call", [
@@ -109,11 +110,10 @@ def test_normal_structure_caches_honour_limits(call):
 
 def test_local_n_verdict_under_enumeration_bound_10():
     # the local path reads G/C_G(H/K) off the factor's action image (order 6)
-    # and enumerates nothing, so G of order 72 gets its first N verdict
-    # inside a scope whose enumeration bound is 10, and the same one outside
+    # and enumerates nothing, so G of order 72 gets an N verdict inside a
+    # scope whose enumeration bound is 10, and the same one outside
     G = pg.direct_product(pg.symmetric(4), pg.cyclic(3))
     cf = next(cf for cf in pg.chief_series(G).factors if cf.centralizer.order == 12)
-    cf._cache.clear()
     with pg.limits_scope(pg.Limits(enumeration=10)):
         with pytest.raises(ResourceLimitError):
             G.elements()
