@@ -38,7 +38,7 @@ from .groups import (
     subgroup_from_elements,
     walk_classes,
 )
-from .limits import cache_key, current
+from .limits import check_enumeration, current
 from .perms import Permutation
 from .primes import is_prime
 
@@ -142,10 +142,11 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     of prime order is skipped: that candidate is generated by any of its
     nontrivial elements, so it is the class's normal closure.
     """
-    key = cache_key("min_normals")
-    cached = G._cache.get(key)
-    if cached is not None:
-        return list(cached)
+    check_enumeration(G.order)  # also when kept, as computing them enumerates G
+    return list(G._cached("min_normals", _minimal_normals))
+
+
+def _minimal_normals(G: PermGroup) -> tuple[Subgroup, ...]:
     candidates: list[Subgroup] = []
     seen: set[tuple] = set()
     for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
@@ -162,9 +163,7 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     for cand in candidates:
         if not any(all(cand.contains(g) for g in kept.generators) for kept in minimal):
             minimal.append(cand)
-    minimal.sort(key=_encoding)
-    G._cache[key] = tuple(minimal)
-    return minimal
+    return tuple(sorted(minimal, key=_encoding))
 
 
 def central_minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
@@ -299,5 +298,5 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
         elems = PermGroup(n, gens, _bound=n).elements()
         cls = next(walk_classes(product, elems, _has_prime_order, set()))
         normals.append(subgroup_from_elements(product, cls, _bound=product.order))
-    product._cache[cache_key("min_normals")] = tuple(sorted(normals, key=_encoding))
+    product._cached("min_normals", lambda P: tuple(sorted(normals, key=_encoding)))
     return product

@@ -11,8 +11,8 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
-from .errors import InputError, PreconditionError, ResourceLimitError
-from .limits import current
+from .errors import InputError, PreconditionError
+from .limits import check_enumeration
 from .perms import Permutation
 
 # sort key giving the same order as Permutation.__lt__, without its calls
@@ -54,14 +54,18 @@ class PermGroup:
         self.chain.forget_sifted()  # the group never grows its chain
         self._cache: dict = {}
 
+    def _cached(self, key: str, compute: Callable[["PermGroup"], object]):
+        """``compute(self)``, kept under ``key`` from the first read on."""
+        val = self._cache.get(key)
+        if val is None:
+            val = self._cache[key] = compute(self)
+        return val
+
     # -- basic queries ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        val = self._cache.get("order")
-        if val is None:
-            val = self._cache["order"] = self.chain.order()
-        return val
+        return self._cached("order", _chain_order)
 
     def contains(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
@@ -72,43 +76,26 @@ class PermGroup:
         return self.order == 1
 
     def is_abelian(self) -> bool:
-        val = self._cache.get("abelian")
-        if val is None:
-            val = self._cache["abelian"] = all(map(commutes_with(self), self.generators))
-        return val
+        return self._cached("abelian", lambda G: all(map(commutes_with(G), G.generators)))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple; every call checks the enumeration
         bound in effect."""
-        _check_enumeration(self.order)
-        elems = self._cache.get("elements")
-        if elems is None:
-            elems = self._cache["elements"] = tuple(sorted(self.chain.elements(), key=_IMAGES))
-        return elems
+        check_enumeration(self.order)
+        return self._cached("elements", lambda G: tuple(sorted(G.chain.elements(), key=_IMAGES)))
 
     def element_set(self) -> frozenset[Permutation]:
-        elems = self.elements()  # the bound check, also when cached
-        val = self._cache.get("element_set")
-        if val is None:
-            val = self._cache["element_set"] = frozenset(elems)
-        return val
+        return frozenset(self.elements())
 
     def conjugacy_classes(self) -> tuple[tuple[Permutation, ...], ...]:
         """Conjugacy classes as sorted tuples, ordered by least member."""
-        elems = self.elements()  # the bound check, also when cached
-        val = self._cache.get("classes")
-        if val is None:
-            val = self._cache["classes"] = tuple(walk_classes(self, elems, lambda x: True, set()))
-        return val
+        return tuple(walk_classes(self, self.elements(), lambda x: True, set()))
 
     def self_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.generators, name=self.name)
 
     def trivial_subgroup(self) -> "Subgroup":
-        val = self._cache.get("trivial_subgroup")
-        if val is None:
-            val = self._cache["trivial_subgroup"] = Subgroup(self, ())
-        return val
+        return self._cached("trivial_subgroup", lambda G: Subgroup(G, ()))
 
     def subgroup(self, generators: Iterable[Permutation], name: str | None = None) -> "Subgroup":
         return Subgroup(self, generators, name=name)
@@ -133,10 +120,8 @@ class PermGroup:
         return f"<PermGroup{label} degree={self.degree} order={self.order}>"
 
 
-def _check_enumeration(order: int) -> None:
-    bound = current().enumeration
-    if order > bound:
-        raise ResourceLimitError(f"group order {order} exceeds enumeration bound {bound}")
+def _chain_order(G: PermGroup) -> int:
+    return G.chain.order()
 
 
 class Subgroup(PermGroup):
@@ -301,7 +286,7 @@ class Quotient:
             self.reps: tuple[Permutation, ...] = ()
             self._coset_of: dict[tuple, int] | None = None
             return
-        _check_enumeration(ambient.order)  # before coset work; G is not enumerated
+        check_enumeration(ambient.order)  # before coset work; G is not enumerated
         # n * rep for each kernel element n, on image tuples
         kernel_gets = [itemgetter(*n.images) for n in kernel.elements()]
         coset_of: dict[tuple, int] = {}

@@ -33,7 +33,7 @@ class HypercenterResult:
     group: PermGroup
     class_name: str
     subgroup: Subgroup
-    climb_trace: tuple[tuple[Subgroup, int, bool], ...]
+    climb_trace: tuple[tuple[Subgroup, int], ...]
 
 
 @dataclass
@@ -76,11 +76,11 @@ def _climb(
     G: PermGroup,
     step_ok: Callable[[ChiefFactor], bool],
     candidates: Callable[[PermGroup], list[Subgroup]] | None = None,
-) -> tuple[Subgroup, tuple[tuple[Subgroup, int, bool], ...]]:
+) -> tuple[Subgroup, tuple[tuple[Subgroup, int], ...]]:
     """Greedy ascent (``chiefs.ascend``): lift one admissible minimal normal
     subgroup per step, until none of ``candidates(G/Z)`` passes ``step_ok``.
-    Returns the top Z and the (term, factor order, True) of each step."""
-    trace = tuple((cf.upper, cf.factor.order, True) for cf in ascend(G, step_ok, candidates))
+    Returns the top Z and the (term, factor order) of each step."""
+    trace = tuple((cf.upper, cf.factor.order) for cf in ascend(G, step_ok, candidates))
     return (trace[-1][0] if trace else G.trivial_subgroup()), trace
 
 

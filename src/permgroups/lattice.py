@@ -142,6 +142,8 @@ class SubgroupLattice:
         bound = current().lattice
         if n > bound:
             raise ResourceLimitError(f"subgroup lattice bound {bound} exceeded by group order {n}")
+        if n > 1 << 16:  # element indexes are array("H") entries
+            raise ResourceLimitError(f"lattice index range 65536 exceeded by order {n}")
         self.ambient = ambient
         elems = self._elems = ambient.elements()
         index = {e.images: i for i, e in enumerate(elems)}

@@ -5,8 +5,9 @@ that explicit and turn runaway inputs into clean errors instead of hangs.
 One set of bounds is in effect at a time: ``current()`` reads it, and
 ``scope(bounds)`` sets it for a ``with`` block, nested calls included.
 Outside every scope it is ``DEFAULT``; the CLI opens one scope per run from
-its ``--*-bound`` flags.  Result caches are keyed by the bounds in effect
-(``cache_key``), so no result is served under bounds it was not computed in.
+its ``--*-bound`` flags.  Only the enumeration bound can make a group's kept
+values raise, so a read of one that enumerates G first calls
+``check_enumeration(G.order)``: none is served under bounds that refuse it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,15 @@ def scope(bounds: Limits) -> Iterator[Limits]:
         _ACTIVE.reset(token)
 
 
-def cache_key(*parts: object) -> tuple:
-    """Key of a cached result identified by ``parts`` under the bounds in effect."""
-    return (*parts, current())
-
-
 def check_degree(degree: int, what: str) -> None:
     """Reject ``what`` on ``degree`` points before anything that size is built."""
     bound = current().semidirect_degree
     if degree > bound:
         raise InputError(f"{what} needs {degree} points, exceeding the point bound {bound}")
+
+
+def check_enumeration(order: int) -> None:
+    """Reject enumerating a group of ``order`` elements before it is enumerated."""
+    bound = current().enumeration
+    if order > bound:
+        raise ResourceLimitError(f"group order {order} exceeds enumeration bound {bound}")

@@ -11,7 +11,6 @@ import permgroups as pg
 from permgroups import chiefs
 from permgroups.errors import PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
-from permgroups.limits import cache_key
 from permgroups.perms import Permutation, parse_permutation
 from permgroups.primes import is_prime, prime_divisors
 
@@ -534,7 +533,7 @@ def test_minimal_normal_subgroups_match_element_sets_semidirect(remark4_products
 def _assert_seeded_minimal_normals_match_walk(P):
     # factor_semidirect records P's minimal normal subgroups; the class walk
     # must build the same ones, down to generators and base
-    seeded = P._cache.pop(cache_key("min_normals"))
+    seeded = P._cache.pop("min_normals")
     walked = pg.minimal_normal_subgroups(P)
     assert [(N.generators, N.chain.base, N.order) for N in seeded] == [
         (N.generators, N.chain.base, N.order) for N in walked]

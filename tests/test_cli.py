@@ -38,6 +38,16 @@ def test_parse_group_file_examples():
     assert "line 2" in str(err.value)
 
 
+def test_cli_lattice_beyond_its_index_range_exits_3(tmp_path):
+    # S8xC2, order 80640, within both bounds given
+    path = tmp_path / "s8c2.txt"
+    path.write_text("degree 10\n(0 1)\n(0 1 2 3 4 5 6 7)\n(8 9)\n")
+    code, out, err = _run_cli(["intersection", "--class", "N", "--group", str(path),
+                               "--enumeration-bound", "100000", "--lattice-bound", "100000"])
+    assert code == 3 and out == ""
+    assert "65536" in err and "Traceback" not in err
+
+
 def test_parse_group_file_comments_and_blanks():
     text = "# a comment\n\ndegree 4  # degree\n(0 1)(2 3)\n\n# done\n"
     G = parse_group_file(text)
@@ -355,6 +365,8 @@ def test_n_output_matches_golden(tmp_path, command):
     ("hypercenter", "Nca", "hypercenter-Nca-standard.jsonl"),
     ("intersection", "N*", "intersection-Nstar-standard.jsonl"),
     ("intersection", "Nca", "intersection-Nca-standard.jsonl"),
+    ("intersection", "Np:2", "intersection-Np2-standard.jsonl"),
+    ("intersection", "abelian", "intersection-abelian-standard.jsonl"),
 ])
 def test_per_group_output_matches_golden(tmp_path, command, selector, golden):
     # class verdicts, hypercenters and lattices, each got once per group
@@ -519,24 +531,17 @@ def test_suite_frees_each_group_once_its_record_is_out(monkeypatch, collection_o
     (CliConfig(command="verify-corollary", corpus="smoke", lattice_bound=5), 3),
     (CliConfig(command="verify-corollary", corpus="nonesuch"), InputError),
 ])
-@pytest.mark.parametrize("caller_froze", [False, True])
-def test_run_leaves_the_collector_as_it_found_it(tmp_path, config, code, caller_froze):
+def test_run_restores_the_callers_bounds(tmp_path, config, code):
+    # run puts the config's bounds in effect for its body only: afterwards the
+    # caller's are current again, on every exit path
     config = replace(config, output=str(tmp_path / "report.jsonl"))
-    if caller_froze:
-        gc.freeze()
-    try:
-        before = gc.get_freeze_count()
+    with pg.limits_scope(pg.Limits(enumeration=777)) as caller_bounds:
         if code is InputError:
             with pytest.raises(InputError):
                 run(config)
         else:
             assert run(config) == code
-        # frozen objects that die leave the frozen set, so it can only shrink
-        after = gc.get_freeze_count()
-        assert (0 < after <= before) if caller_froze else after == 0
-        assert gc.isenabled()
-    finally:
-        gc.unfreeze()
+        assert current() is caller_bounds
 
 
 @pytest.mark.parametrize("command", [

@@ -38,8 +38,8 @@ def test_hypercenter_climb_trace():
     G = pg.special_linear2(5)
     result = pg.hypercenter(G, pg.QUASINILPOTENT)
     assert result.subgroup.order == 120
-    assert [order for _, order, _ in result.climb_trace] == [2, 60]
-    assert all(verdict for _, _, verdict in result.climb_trace)
+    assert [order for _, order in result.climb_trace] == [2, 60]
+    assert [Z.order for Z, _ in result.climb_trace] == [2, 120]
     assert is_normal(G, result.subgroup)
 
 

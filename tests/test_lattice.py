@@ -72,6 +72,19 @@ def test_element_caches_honour_limits():
         assert "10" in str(err.value)
 
 
+@pytest.mark.parametrize("build", [pg.all_subgroups, pg.nilpotent_subgroups],
+                         ids=["all", "nilpotent"])
+def test_lattice_refuses_orders_beyond_its_index_range(build):
+    # element indexes are 16-bit array entries: S8xC2 (order 80640) is refused
+    # within both bounds, before it is enumerated
+    G = pg.direct_product(pg.symmetric(8), pg.cyclic(2))
+    with pg.limits_scope(pg.Limits(enumeration=100_000, lattice=100_000)):
+        with pytest.raises(ResourceLimitError) as err:
+            build(G)
+    assert "65536" in str(err.value) and "80640" in str(err.value)
+    assert "elements" not in G._cache
+
+
 _DP = pg.direct_product
 
 

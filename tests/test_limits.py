@@ -108,6 +108,17 @@ def test_normal_structure_caches_honour_limits(call):
         assert [t.element_set() for t in again.terms] == [t.element_set() for t in first.terms]
 
 
+def test_recorded_minimal_normal_subgroups_read_under_other_bounds():
+    # only the enumeration bound on |P| can make them raise, so the ones
+    # factor_semidirect records for P (order 7200) are read under a scope with
+    # another lattice bound without enumerating P
+    P = pg.factor_semidirect(pg.chief_series(pg.symmetric(5)).factors[0])
+    recorded = pg.minimal_normal_subgroups(P)
+    with pg.limits_scope(pg.Limits(lattice=100)):
+        assert list(map(id, pg.minimal_normal_subgroups(P))) == list(map(id, recorded))
+    assert P.order == 7200 and "elements" not in P._cache
+
+
 def test_local_n_verdict_under_enumeration_bound_10():
     # the local path reads G/C_G(H/K) off the factor's action image (order 6)
     # and enumerates nothing, so G of order 72 gets an N verdict inside a
