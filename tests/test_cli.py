@@ -544,6 +544,33 @@ def test_run_restores_the_callers_bounds(tmp_path, config, code):
         assert current() is caller_bounds
 
 
+@pytest.mark.parametrize("config, code", [
+    (CliConfig(command="verify-corollary", corpus="smoke"), 0),
+    (CliConfig(command="verify-corollary", corpus="smoke", lattice_bound=5), 3),
+    (CliConfig(command="verify-corollary", corpus="nonesuch"), InputError),
+])
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, config, code, caller_froze):
+    # run frees groups by reference counting alone: it neither freezes nor
+    # disables the collector, on any exit path
+    config = replace(config, output=str(tmp_path / "report.jsonl"))
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        if code is InputError:
+            with pytest.raises(InputError):
+                run(config)
+        else:
+            assert run(config) == code
+        # frozen objects that die leave the frozen set, so it can only shrink
+        after = gc.get_freeze_count()
+        assert (0 < after <= before) if caller_froze else after == 0
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
 @pytest.mark.parametrize("command", [
     "info", "verify-corollary", "verify-baer", "verify-remark4", "compare-nca",
 ])
