@@ -38,7 +38,6 @@ from .lattice import SubgroupLattice, all_subgroups, nilpotent_subgroups
 from .chiefs import (
     ChiefFactor,
     ChiefSeries,
-    chief_factor,
     chief_series,
     factor_semidirect,
     inner_induction_subgroup,
@@ -57,12 +56,10 @@ from .classes import (
     is_class_central_semidirect,
     is_nca_member,
     is_nilpotent,
-    is_p_group,
     is_quasi_F,
     is_quasinilpotent,
     p_groups,
     quasi_class,
-    s_critical_groups,
 )
 from .hypercenter import (
     HypercenterResult,

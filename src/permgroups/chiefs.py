@@ -26,7 +26,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .errors import InputError, PreconditionError, ResourceLimitError
+from .errors import ResourceLimitError
 from .groups import (
     PermGroup,
     Quotient,
@@ -51,16 +51,12 @@ class ChiefFactor:
     def __init__(self, quotient: Quotient, factor: Subgroup):
         self.quotient, self.factor = quotient, factor
         self.ambient: PermGroup = quotient.ambient
-        self.lower: Subgroup = quotient.kernel
         self.upper: Subgroup = quotient.lift_subgroup(factor)
         # the cosets of K in H are the elements of H/K
         self.cosets: tuple[Permutation, ...] = factor.elements()
         self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
-        # action of G's generators on the cosets, by conjugation
-        self.action: dict[Permutation, Permutation] = {
-            g: self.action_of(g) for g in self.ambient.generators
-        }
-        self.image = PermGroup(len(self.cosets), self.action.values())
+        # G/C_G(H/K), generated by the conjugation action of G's generators on the cosets
+        self.image = PermGroup(len(self.cosets), map(self.action_of, self.ambient.generators))
 
     def action_of(self, g: Permutation) -> Permutation:
         """The permutation of the coset set induced by conjugation with g."""
@@ -211,35 +207,6 @@ def chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
     return ChiefSeries(G, reverse_tiebreak)
 
 
-def chief_factor(G: PermGroup, K: Subgroup, H: Subgroup) -> ChiefFactor:
-    """The chief factor H/K, validating normality and minimality.
-
-    Raises PreconditionError naming a witness when a normal subgroup of G
-    lies strictly between K and H.  The factor is realized in G/K as the
-    image of H, and its ``upper`` is the full preimage of that image, H.
-    """
-    conj = [(g.inverse(), g) for g in G.generators]
-    for sub, label in ((K, "K"), (H, "H")):
-        for n in sub.generators:
-            if not G.contains(n):
-                raise InputError(f"{label} is not a subgroup of G")
-            for g_inv, g in conj:
-                if not sub.contains(g_inv * n * g):
-                    raise PreconditionError(f"{label} is not normal in G")
-    if not all(H.contains(k) for k in K.generators) or K.order >= H.order:
-        raise PreconditionError("need K < H with K contained in H")
-    Q = quotient_group(G, K)
-    Hbar = Subgroup(Q.group, [Q.project(h) for h in H.generators])
-    for mn in minimal_normal_subgroups(Q.group):
-        if mn.order < Hbar.order and all(Hbar.contains(g) for g in mn.generators):
-            witness = Q.lift_subgroup(mn)
-            raise PreconditionError(
-                f"H/K is not a chief factor: normal subgroup of order {witness.order} "
-                f"lies strictly between (generators {witness.generators})"
-            )
-    return ChiefFactor(Q, Hbar)  # no smaller normal subgroup inside: Hbar is minimal
-
-
 def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
     """All g in G acting on H/K as an inner automorphism.
 
@@ -292,7 +259,7 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
          for h in cf.factor.generators]
         for times in (lambda c, h: c * h, lambda c, h: h * c)
     )
-    product = PermGroup(n, right + list(cf.action.values()))
+    product = PermGroup(n, right + list(cf.image.generators))
     normals = []
     for gens in (right,) if cf.factor.is_abelian() else (right, left):
         elems = PermGroup(n, gens, _bound=n).elements()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .chiefs import (
     ChiefFactor,
@@ -80,10 +80,6 @@ def is_nilpotent(G: PermGroup) -> bool:
         if nxt.order == L.order:
             return False
         L = nxt
-
-
-def is_p_group(G: PermGroup, p: int) -> bool:
-    return p_groups(p).member(G)
 
 
 def is_abelian_group(G: PermGroup) -> bool:
@@ -276,8 +272,3 @@ def is_s_critical(G: PermGroup, X: GroupClass) -> bool:
     lattice = all_subgroups(G)
     member = dict(zip(lattice.masks, lattice.class_membership(X)))
     return all(member[m] for m in lattice.maximal_masks())
-
-
-def s_critical_groups(corpus: Sequence[PermGroup], X: GroupClass) -> list[PermGroup]:
-    """Groups outside X all of whose maximal subgroups lie in X."""
-    return [G for G in corpus if is_s_critical(G, X)]

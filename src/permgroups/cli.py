@@ -1,8 +1,9 @@
 """Command-line frontend: parse group files, build corpora, run suites.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 input error,
-3 resource bound exceeded (3 wins over 1 in a suite), 141 stdout closed by
-its reader (128 + SIGPIPE, as a shell reports a process the signal ended).
+Exit codes: 0 all checks pass, 1 verification failure, 2 input error or
+output that cannot be written, 3 resource bound exceeded (3 wins over 1 in a
+suite), 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
+process the signal ended).
 Output is flushed as it is written, so a long run shows each group's
 record as soon as that group is done.
 """
@@ -294,18 +295,31 @@ def run(config: CliConfig) -> int:
     with scope(Limits(config.enumeration_bound, config.lattice_bound,
                       config.semidirect_bound)):
         groups = _load_groups(config)
+        where = f"file {config.output!r}" if config.output else "to stdout"
         try:
             out = open(config.output, "w") if config.output else nullcontext(sys.stdout)
         except OSError as exc:
-            raise InputError(f"cannot write output file {config.output!r}: {exc}") from None
-        with out as sink:
-            if config.command in SUITES:
-                class_name, sides, assert_equal = SUITES[config.command]
-                return _report_suite(run_suite(_release(groups), class_name, sides),
-                                     config, sink, assert_equal)
-            if config.command in PER_GROUP:
-                return _per_group(PER_GROUP[config.command](config), groups, sink)
-            raise InputError(f"unknown command {config.command!r}")
+            raise InputError(f"cannot write output {where}: {exc}") from None
+        try:
+            with out as sink:
+                if config.command in SUITES:
+                    class_name, sides, assert_equal = SUITES[config.command]
+                    return _report_suite(run_suite(_release(groups), class_name, sides),
+                                         config, sink, assert_equal)
+                if config.command in PER_GROUP:
+                    return _per_group(PER_GROUP[config.command](config), groups, sink)
+                raise InputError(f"unknown command {config.command!r}")
+        except BrokenPipeError:
+            raise
+        except OSError as exc:  # from a write, or from the flush that closes the file
+            if not config.output:  # what stdout still holds is not flushed again at exit
+                _discard_stdout()
+            raise InputError(f"cannot write output {where}: {exc}") from None
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so the exit-time flush cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,9 +374,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     try:
         return run(config)
-    except BrokenPipeError:
-        # the reader went away (``| head``); the exit-time flush goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader went away (``| head``)
+        _discard_stdout()
         return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -151,30 +151,31 @@ class SubgroupLattice:
         identity_idx = self._identity_idx = index[tuple(range(ambient.degree))]
         # right multiplication and conjugation by each generator of G
         gens = [(g.images, itemgetter(*g.inverse().images)) for g in ambient.generators]
-        self._gen_columns = [array("H") for _ in gens]
-        self._conj_arrays = [array("H") for _ in gens]
+        gen_columns = [array("H") for _ in gens]
+        conj_arrays = [array("H") for _ in gens]
         for e in elems:
             times = itemgetter(*e.images)  # e * q for an image tuple q
-            for (g, inv_times), col, conj in zip(gens, self._gen_columns, self._conj_arrays):
+            for (g, inv_times), col, conj_arr in zip(gens, gen_columns, conj_arrays):
                 eg = times(g)
                 col.append(index[eg])
-                conj.append(index[inv_times(eg)])
+                conj_arr.append(index[inv_times(eg)])
         # breadth-first word tree: element x is word[x][0] times generator word[x][1]
         word: dict[int, tuple[int, int]] = {identity_idx: (identity_idx, 0)}
         queue = [identity_idx]
         for y in queue:
-            for j, col in enumerate(self._gen_columns):
+            for j, col in enumerate(gen_columns):
                 if col[y] not in word:
                     word[col[y]] = (y, j)
                     queue.append(col[y])
-        self._word = word
         self._full_mask = (1 << n) - 1
         self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
-        self._reset_caches()
-        gen_info, orbits = self._build(index, _nilpotent)
-        # the caches hold up to n arrays of n entries, and the lattice outlives them
-        self._reset_caches()
+        # column(x)[e] is the index of e*x, conj(x)[e] that of x^-1*e*x; their
+        # caches, up to n arrays of n entries, go with the build
+        identity = array("H", range(n))
+        column = partial(_compose, word, {identity_idx: identity}, gen_columns)
+        conj = partial(_compose, word, {identity_idx: identity}, conj_arrays)
+        gen_info, orbits = self._build(index, _nilpotent, conj_arrays, column, conj)
         # node order: by (subgroup order, mask); deterministic
         masks = sorted(gen_info, key=lambda m: (m.bit_count(), m))
         self._masks = masks
@@ -187,17 +188,9 @@ class SubgroupLattice:
 
     # -- construction ------------------------------------------------------
 
-    def _reset_caches(self) -> None:
-        # _column(x)[e] is the index of e*x, _conj(x)[e] that of x^-1*e*x
-        identity = array("H", range(self._n))
-        self._column = partial(_compose, self._word, {self._identity_idx: identity},
-                               self._gen_columns)
-        self._conj = partial(_compose, self._word, {self._identity_idx: identity},
-                             self._conj_arrays)
-
-    def _closure_mask(self, gen_idxs: tuple[int, ...], table: _CosetTable) -> int:
-        """Mask of <gens>, given the right coset table of H = <gens[:-1]>;
-        returns the full mask early once |<gens>| > n/p_min.
+    def _closure_mask(self, table: _CosetTable, seed_col: array) -> int:
+        """Mask of <H, s>, given the right coset table of H and the column of
+        s; returns the full mask early once |<H, s>| > n/p_min.
 
         Dimino's closure on coset ids: a right coset Hy times a generator g
         is the right coset H(yg), the coset labelled at yg, so it lies inside
@@ -207,7 +200,7 @@ class SubgroupLattice:
         generators, which fix every right coset of H, are left out.
         """
         label, cosets, masks = table.label, table.cosets, table.masks
-        cols = table.cols + [self._column(gen_idxs[-1])]
+        cols = table.cols + [seed_col]
         most = self._max_proper // len(cosets[0])  # cosets in a proper subgroup
         found, inside = [0], {0}
         for d in found:
@@ -252,14 +245,15 @@ class SubgroupLattice:
             cyclic[x] = mask
         return cyclic
 
-    def _build(self, index: dict[tuple, int], nilpotent: bool) -> tuple[dict, list]:
+    def _build(self, index: dict[tuple, int], nilpotent: bool, conj_arrays: list[array],
+               column: Callable[[int], array], conj: Callable[[int], array]) -> tuple[dict, list]:
         trivial_mask = 1 << self._identity_idx
         full_mask = self._full_mask
         # the centre, and conjugation by the non-central generators of G
         central = sum(1 << x for x in range(self._n)
-                      if all(conj[x] == x for conj in self._conj_arrays))
+                      if all(arr[x] == x for arr in conj_arrays))
         identity = array("H", range(self._n))
-        moving = [conj for conj in self._conj_arrays if conj != identity]
+        moving = [arr for arr in conj_arrays if arr != identity]
 
         # cyclic prime-power seeds, one per distinct subgroup
         cyclic = self._cyclic_masks(index)
@@ -309,11 +303,11 @@ class SubgroupLattice:
             # a central generator h of rep fixes every seed and every coset: Hyh = Hy
             moving_gens = [g for g in rep_gens if not central >> g & 1]
             if not only_full:
-                table = _CosetTable([self._column(g) for g in moving_gens], bits, rep)
+                table = _CosetTable([column(g) for g in moving_gens], bits, rep)
             # the first seed outside rep of each class of seeds under conjugation
             # by rep, skipping seeds inside a join of prime index over rep found
             # before; a seed's class lies in that join too
-            conjs = [self._conj(g) for g in moving_gens]
+            conjs = [conj(g) for g in moving_gens]
             seen = bytearray(len(seed_list))
             covered = rep  # rep and the joins found of prime index over it
             for i, seed_bit in enumerate(seed_bits):
@@ -325,19 +319,19 @@ class SubgroupLattice:
                     stack = [seed_gen]
                     while stack:
                         y = stack.pop()
-                        for conj in conjs:
-                            j = seed_of[conj[y]]
+                        for arr in conjs:
+                            j = seed_of[arr[y]]
                             if not seen[j]:
                                 seen[j] = 1
                                 stack.append(seed_list[j][1])
                 if nilpotent and not only_full:  # the filters of the module docstring
                     pmask = next(m for m in self._pmasks.values() if m >> seed_gen & 1)
                     if any(not pmask >> col[seed_gen] & 1 if pmask >> g & 1
-                           else conj[seed_gen] != seed_gen
-                           for g, conj, col in zip(moving_gens, conjs, table.cols)):
+                           else arr[seed_gen] != seed_gen
+                           for g, arr, col in zip(moving_gens, conjs, table.cols)):
                         continue
                 gens = rep_gens + (seed_gen,)
-                joined = full_mask if only_full else self._closure_mask(gens, table)
+                joined = full_mask if only_full else self._closure_mask(table, column(seed_gen))
                 if is_prime(joined.bit_count() // order):
                     covered |= joined
                 if joined not in gen_info and admits(joined):

@@ -7,9 +7,10 @@ the hot loops compose raw tuples that way (never of degree 1, where
 
 from __future__ import annotations
 
+import re
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError
 
@@ -163,37 +164,10 @@ def format_permutation(p: Permutation) -> str:
     return "".join("(" + " ".join(str(pt) for pt in c) + ")" for c in cycles)
 
 
-def _tokenize_cycles(text: str) -> Iterator[list[str]]:
-    depth = 0
-    current: list[str] = []
-    buf = ""
-    for ch in text:
-        if ch == "(":
-            if depth:
-                raise InputError("nested '(' in cycle notation")
-            depth = 1
-            current = []
-            buf = ""
-        elif ch == ")":
-            if not depth:
-                raise InputError("unmatched ')' in cycle notation")
-            if buf:
-                current.append(buf)
-                buf = ""
-            depth = 0
-            yield current
-        elif ch.isdigit():
-            if not depth:
-                raise InputError(f"digit {ch!r} outside of a cycle")
-            buf += ch
-        elif ch.isspace() or ch == ",":
-            if buf:
-                current.append(buf)
-                buf = ""
-        else:
-            raise InputError(f"unexpected character {ch!r} in cycle notation")
-    if depth:
-        raise InputError("unclosed '(' in cycle notation")
+# a cycle: points of Unicode decimal digits, which are what int() reads,
+# separated by whitespace or commas, as the cycles are
+_CYCLE = re.compile(r"\(([\d\s,]*)\)")
+_CYCLES = re.compile(rf"[\s,]*(?:{_CYCLE.pattern}[\s,]*)*")
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -204,5 +178,11 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     text = text.strip()
     if not text:
         raise InputError("empty permutation text")
-    cycles = [[int(tok) for tok in cyc] for cyc in _tokenize_cycles(text)]
+    end = _CYCLES.match(text).end()  # of the longest well-formed prefix
+    if end < len(text):
+        raise InputError(f"malformed cycle notation at {text[end:end + 20]!r}")
+    try:
+        cycles = [list(map(int, c.replace(",", " ").split())) for c in _CYCLE.findall(text)]
+    except ValueError:  # more digits than int() reads
+        raise InputError("point with too many digits in cycle notation") from None
     return Permutation.from_cycles(degree, [c for c in cycles if c])

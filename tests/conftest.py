@@ -78,12 +78,14 @@ def brute_subgroups(G: pg.PermGroup) -> set[frozenset[Permutation]]:
 def elementwise_closure_mask(lattice: pg.SubgroupLattice, gen_idxs) -> int:
     """Mask of <gens> grown one element at a time from the identity.
 
-    Breadth-first right multiplication by the generators over the lattice's
-    columns, returning the full mask early once more than n/p_min elements
-    are found: the slow reference for ``SubgroupLattice._closure_mask``,
-    which grows by whole cosets.
+    Breadth-first right multiplication by the generators, over columns
+    computed from permutation products, returning the full mask early once
+    more than n/p_min elements are found: the slow reference for
+    ``SubgroupLattice._closure_mask``, which grows by whole cosets.
     """
-    cols = [lattice._column(g) for g in gen_idxs]
+    elems = lattice._elems
+    index = {e: i for i, e in enumerate(elems)}
+    cols = [[index[e * elems[g]] for e in elems] for g in gen_idxs]
     member = bytearray(lattice._n)
     start = lattice._identity_idx
     member[start] = 1
@@ -287,7 +289,7 @@ def element_semidirect(cf: pg.ChiefFactor) -> pg.PermGroup:
     gens = [Permutation([index[e * f] for e in elems]) for f in cf.factor.generators]
     gens += [
         Permutation([to_elem[sigma.images[c]] for c in to_coset])
-        for sigma in cf.action.values()
+        for sigma in map(cf.action_of, cf.ambient.generators)
     ]
     return pg.PermGroup(len(elems), gens)
 

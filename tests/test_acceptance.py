@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 import permgroups as pg
+from permgroups.classes import is_s_critical
 from permgroups.perms import Permutation
 
 from conftest import (
@@ -181,7 +182,7 @@ def test_criterion_8_inner_criterion_equals_definitional(standard):
 def test_criterion_9_s_critical_detection(standard):
     """Minimal non-nilpotent groups of order <= 24, cross-checked by brute force."""
     pool = [G for G in standard if G.order <= 24]
-    found = pg.s_critical_groups(pool, pg.NILPOTENT)
+    found = [G for G in pool if is_s_critical(G, pg.NILPOTENT)]
     found_names = sorted(G.name for G in found)
 
     expected = []

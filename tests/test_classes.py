@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permgroups as pg
+from permgroups.classes import is_s_critical
 from permgroups.errors import InputError
 from permgroups.perms import Permutation
 
@@ -31,11 +32,11 @@ def test_is_nilpotent_matches_sylow_oracle(smoke):
 
 
 def test_is_p_group():
-    assert pg.is_p_group(pg.cyclic(1), 7)
-    assert pg.is_p_group(pg.dihedral(8), 2)
-    assert not pg.is_p_group(pg.symmetric(3), 3)
+    assert pg.p_groups(7).member(pg.cyclic(1))
+    assert pg.p_groups(2).member(pg.dihedral(8))
+    assert not pg.p_groups(3).member(pg.symmetric(3))
     with pytest.raises(InputError):
-        pg.is_p_group(pg.cyclic(2), 6)
+        pg.p_groups(6)
 
 
 def test_p_groups_reject_a_prime_beyond_the_point_bound():
@@ -45,7 +46,7 @@ def test_p_groups_reject_a_prime_beyond_the_point_bound():
     script = f"""
 import time
 import permgroups as pg
-for call in (lambda: pg.p_groups({p}), lambda: pg.is_p_group(pg.cyclic(3), {p})):
+for call in (lambda: pg.p_groups({p}), lambda: pg.p_groups({p}).member(pg.cyclic(3))):
     start = time.perf_counter()
     try:
         call()
@@ -65,15 +66,15 @@ def test_p_groups_membership_does_not_recheck_the_prime():
     with pg.limits_scope(pg.Limits(semidirect_degree=20000)):
         X = pg.p_groups(10007)
     assert X.member(pg.cyclic(1)) and not X.member(pg.cyclic(3))
-    assert not pg.is_p_group(pg.cyclic(3), 10007)
+    assert not pg.p_groups(10007).member(pg.cyclic(3))
     with pytest.raises(InputError) as err:
-        pg.is_p_group(pg.cyclic(1), 10009)
+        pg.p_groups(10009).member(pg.cyclic(1))
     assert "point bound 10000" in str(err.value)
 
 
 def test_is_class_central_nilpotent():
     Q8 = pg.quaternion8()
-    cf = pg.chief_factor(Q8, Q8.trivial_subgroup(), pg.center(Q8))
+    cf = pg.ChiefFactor(pg.quotient_group(Q8, Q8.trivial_subgroup()), pg.center(Q8))
     assert pg.is_class_central(cf, pg.NILPOTENT)
 
     S4 = pg.symmetric(4)
@@ -227,16 +228,15 @@ def test_quasi_F_same_under_reversed_tiebreak(standard):
 
 def test_s_critical_examples(standard):
     small = [G for G in standard if G.order <= 24]
-    crit = pg.s_critical_groups(small, pg.NILPOTENT)
+    crit = [G for G in small if is_s_critical(G, pg.NILPOTENT)]
     names = sorted(g.name for g in crit)
     assert "S3" in names
 
     nilpotent_only = [G for G in standard if pg.NILPOTENT.member(G)]
-    assert pg.s_critical_groups(nilpotent_only, pg.NILPOTENT) == []
+    assert not any(is_s_critical(G, pg.NILPOTENT) for G in nilpotent_only)
 
     # S3 is NOT s-critical for 2-groups: its C3 maximal subgroup fails
-    crit2 = pg.s_critical_groups([pg.symmetric(3)], pg.p_groups(2))
-    assert crit2 == []
+    assert not is_s_critical(pg.symmetric(3), pg.p_groups(2))
 
 
 def test_class_by_name():

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -129,6 +130,35 @@ def test_cli_unwritable_output_is_an_input_error(tmp_path, target):
     assert code == 2, err
     assert err.startswith("input error: cannot write output file")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("text", ["degree 3\n(0 \u00b2)\n", "degree 3\n(" + "1" * 5000 + ")\n"],
+                         ids=["superscript-digit", "beyond-int-digits"])
+def test_cli_unreadable_point_is_an_input_error(tmp_path, text):
+    # points int() cannot read: a digit that is not decimal, too many digits
+    bad = tmp_path / "bad.grp"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = _run_cli(["info", "--group", str(bad)])
+    assert code == 2, err
+    assert err.startswith("input error: line 2:")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["output-file", "stdout"])
+def test_cli_failed_output_write_is_an_input_error(to_stdout):
+    # every write to /dev/full fails with ENOSPC
+    args = [sys.executable, "-m", "permgroups.cli", "info", "--corpus", "smoke"]
+    if to_stdout:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(args, stdout=full, stderr=subprocess.PIPE, text=True)
+    else:
+        proc = subprocess.run(args + ["--output", "/dev/full"], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    where = "to stdout" if to_stdout else "file '/dev/full'"
+    assert proc.stderr.startswith(f"input error: cannot write output {where}: ")
+    # one line: neither a traceback nor a failed flush at exit
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.parametrize("option, content", [

@@ -20,7 +20,7 @@ COMMANDS = st.sampled_from(["info", "hypercenter", "intersection", "verify-baer"
 
 _fragment = st.lists(
     st.sampled_from(["degree", "(", ")", " ", "#", "-", "0", "1", "3", "7", "9",
-                     "99999999999", "x", ",", "\t", "é"]),
+                     "99999999999", "x", ",", "\t", "é", "²"]),
     max_size=10,
 ).map("".join)
 _cycles = st.lists(

@@ -1,11 +1,14 @@
 """Hypercenter climbs, the definitional oracle, Int_X, and the suites."""
 
 import importlib
+import json
+from pathlib import Path
 
 import pytest
 
 import permgroups as pg
 from permgroups.errors import VerificationError
+from permgroups.perms import parse_permutation
 
 from conftest import hypercenter_oracle, is_normal
 
@@ -50,9 +53,41 @@ def test_hypercenter_stops_when_no_central_factor_remains():
         assert Z.order < G.order
         Q = pg.quotient_group(G, Z)
         for mn in pg.minimal_normal_subgroups(Q.group):
-            H = Q.lift_subgroup(mn)
-            cf = pg.chief_factor(G, Z, H)
+            cf = pg.ChiefFactor(Q, mn)
             assert not pg.is_class_central(cf, pg.QUASINILPOTENT), G.name
+
+
+def test_extended_golden_hypercenters_are_products_of_the_factors():
+    """Z_X(A x B) = Z_X(A) x Z_X(B), read off the extended golden files.
+
+    Let G = A x B.  X-centrality of a chief factor depends only on the factor
+    and the group G induces on it.  A G-chief factor inside A x 1 is an
+    A-chief factor on which B acts trivially, so Z_X(A) x Z_X(B) has only
+    X-central G-chief factors, and lies in Z = Z_X(G).  Conversely, as
+    G-groups Z/(Z n (1 x B)) is the projection of Z to A, on which G acts
+    through A, so by Jordan-Holder for operator groups (Robinson 1996) that
+    projection lies in Z_X(A); likewise for B.  The inner-induction
+    hypercenter of verify-remark4 is the same climb with another step test.
+    """
+    # the pairs of extended_corpus's loop, and the standard group C2xA5
+    base = pg.standard_corpus()
+    pairs = {f"{a.name}x{b.name}": (a, b) for i, a in enumerate(base) for b in base[i:]
+             if 1 < a.order and 1 < b.order and a.order * b.order <= pg.DEFAULT_LIMITS.lattice}
+    checked = 0
+    for path in sorted((Path(__file__).parent / "golden").glob("*-extended.jsonl")):
+        records = {r["group_id"]: r for r in map(json.loads, path.read_text().splitlines())}
+
+        def z_side(name, degree):  # the recorded Z of a group, on its points
+            gens = [parse_permutation(g, degree) for g in records[name]["z_generators"]]
+            return pg.PermGroup(degree, gens)
+
+        for name, (a, b) in pairs.items():
+            product = pg.direct_product(z_side(a.name, a.degree), z_side(b.name, b.degree))
+            recorded = z_side(name, a.degree + b.degree)
+            assert product.order == recorded.order, (path.name, name)
+            assert all(recorded.contains(g) for g in product.generators), (path.name, name)
+            checked += 1
+    assert checked == 4 * 454
 
 
 def test_hypercenter_oracle_examples():

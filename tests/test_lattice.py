@@ -105,7 +105,7 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
     joins = []
     closure = pg.SubgroupLattice._closure_mask
     monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask",
-                        lambda self, gens, table: joins.append(gens) or closure(self, gens, table))
+                        lambda self, table, col: joins.append(col) or closure(self, table, col))
     lattice = pg.SubgroupLattice(G)
     assert lattice._masks == masks
     assert lattice._gen_idxs == gen_idxs
@@ -122,27 +122,33 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
 )
 def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
     # every join of the build, checked against growing it one element at a time
-    results = []
-    prime_index_joins: dict[tuple, list[int]] = {}  # H's generators -> <H, s> of prime index
+    elems = G.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    columns: dict[int, array] = {}
+
+    def column(x):  # the index of e * x for each e, from permutation products
+        if x not in columns:
+            columns[x] = array("H", (index[e * elems[x]] for e in elems))
+        return columns[x]
+
+    joins = []  # (H's mask, the generators of H's columns, the seed, <H, seed>)
+    prime_index_joins: dict[int, list[int]] = {}  # H's mask -> <H, s> of prime index
     closure = pg.SubgroupLattice._closure_mask
 
-    def checked(self, gens, table):
-        # the table is H = <gens[:-1]>'s: coset 0 is H, cols are the columns of
-        # H's generators that are not central in G (a central one fixes every Hy)
+    def checked(self, table, seed_col):
+        # the table is H's: coset 0 is H, cols are columns of H's generators
         H = table.cosets[0]
-        assert table.masks[0] == elementwise_closure_mask(self, gens[:-1])
         assert sorted(H) == H and sum(1 << x for x in H) == table.masks[0]
-        identity = array("H", range(self._n))
-        assert table.cols == [self._column(g) for g in gens[:-1] if self._conj(g) != identity]
+        seed, col_gens = seed_col[self._identity_idx], [c[self._identity_idx] for c in table.cols]
+        assert [seed_col, *table.cols] == [column(seed), *map(column, col_gens)]
         # a seed inside a join of prime index over H found before is not joined
-        found = prime_index_joins.setdefault(gens[:-1], [])
-        assert not any(J >> gens[-1] & 1 for J in found)
-        mask = closure(self, gens, table)
-        assert mask == elementwise_closure_mask(self, gens)
+        found = prime_index_joins.setdefault(table.masks[0], [])
+        assert not any(J >> seed & 1 for J in found)
+        mask = closure(self, table, seed_col)
         # the table, shared by H's later joins, holds right cosets H.y only
         labels = {}
         for d, coset in enumerate(table.cosets):
-            times_y = self._column(coset[0])  # h -> h.y
+            times_y = column(coset[0])  # h -> h.y
             assert sorted(coset) == sorted(times_y[h] for h in H)
             assert table.masks[d] == sum(1 << x for x in coset)
             labels.update(dict.fromkeys(coset, d))
@@ -150,36 +156,59 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
         assert table.label == [labels.get(x, -1) for x in range(self._n)]
         if is_prime(mask.bit_count() // len(H)):
             found.append(mask)
-        results.append(mask)
+        joins.append((table.masks[0], col_gens, seed, mask))
         return mask
 
     monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask", checked)
     lattice = pg.SubgroupLattice(G)
+    central = {x for x, e in enumerate(elems) if all(e * g == g * e for g in G.generators)}
+    for H_mask, col_gens, seed, mask in joins:
+        # H is a node; the columns are those of its generators not central in
+        # G (a central one fixes every Hy)
+        gens = lattice._gen_idxs[lattice._mask_pos[H_mask]]
+        assert H_mask == elementwise_closure_mask(lattice, gens)
+        assert col_gens == [g for g in gens if g not in central]
+        assert mask == elementwise_closure_mask(lattice, gens + (seed,))
     # both the early exit (G itself) and complete proper closures were taken
+    results = [mask for *_, mask in joins]
     assert lattice._full_mask in results
     assert any(mask != lattice._full_mask for mask in results)
 
 
-def test_word_arrays_match_products():
+def test_word_arrays_match_products(monkeypatch):
     # arrays built from image tuples and composed along words, and the
     # cyclic seeds from powers, against Permutation products and closures
+    built = {}
+    build = pg.SubgroupLattice._build
+
+    def capture(self, index, nilpotent, conj_arrays, column, conj):
+        built.update(conj_arrays=conj_arrays, column=column, conj=conj)
+        return build(self, index, nilpotent, conj_arrays, column, conj)
+
+    monkeypatch.setattr(pg.SubgroupLattice, "_build", capture)
     for G in (pg.alternating(5), _DP(pg.dihedral(8), pg.symmetric(3))):
         lattice = pg.SubgroupLattice(G)
         elems = G.elements()
         index = {e: i for i, e in enumerate(elems)}
-        for g, col, conj in zip(G.generators, lattice._gen_columns, lattice._conj_arrays):
-            assert col == array("H", (index[e * g] for e in elems))
+        for g, conj in zip(G.generators, built["conj_arrays"], strict=True):
             assert conj == array("H", (index[g.inverse() * e * g] for e in elems))
         for x, g in enumerate(elems):
-            assert lattice._column(x) == array("H", (index[e * g] for e in elems))
+            assert built["column"](x) == array("H", (index[e * g] for e in elems))
             g_inv = g.inverse()
-            assert lattice._conj(x) == array("H", (index[g_inv * e * g] for e in elems))
+            assert built["conj"](x) == array("H", (index[g_inv * e * g] for e in elems))
         cyclic = lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)})
         prime_power = [x for x, e in enumerate(elems) if is_prime_power(e.order())]
         assert sorted(cyclic) == prime_power
         for x in prime_power:
             expected = closure_elements(G.degree, [elems[x]])
             assert cyclic[x] == sum(1 << index[e] for e in expected)
+
+
+def test_finished_lattice_keeps_only_what_its_queries_read():
+    # the word tree, the generators' arrays and the composers go with the build
+    lattice = pg.SubgroupLattice(_DP(pg.dihedral(8), pg.symmetric(3)))
+    for name in ("_word", "_gen_columns", "_conj_arrays", "_column", "_conj"):
+        assert not hasattr(lattice, name), name
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,8 @@ def test_parse_errors():
         parse_permutation("(0 1", 3)
     with pytest.raises(InputError):
         parse_permutation("0 1 2", 3)
+    with pytest.raises(InputError):
+        parse_permutation("(0 ²)", 3)  # a digit, but not a decimal one
 
 
 def test_parse_examples():
