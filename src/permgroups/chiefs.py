@@ -17,7 +17,9 @@ step test.
 The factor semidirect product P = (H/K) x| G/C_G(H/K) is built knowing its
 minimal normal subgroups: the right translations M by H/K (minimal, as H/K is
 minimal normal in G/K) and, for non-abelian H/K, the left ones, C_P(M), where
-any other would lie.  So P's chief series enumerates no element of P.
+any other would lie.  It also records the action image A = G/C_G(H/K) inside
+it, a complement to each of them, so ``chief_factors(P)`` takes P's first
+chief factor X in P and the rest from A = P/X: no quotient of P is built.
 """
 
 from __future__ import annotations
@@ -110,18 +112,27 @@ def ascend(
         Z = cf.upper
 
 
+def chief_factors(G: PermGroup) -> Iterator[ChiefFactor]:
+    """The factors of one chief series of G, from the bottom: ``ascend(G)``'s,
+    unless G is a factor semidirect product P = X x| A (``factor_semidirect``).
+    Then the first is ``ascend(P)``'s, P's own action on X, and the rest are
+    ``ascend(A)``'s, as A = P/X.  Their verdicts in class membership are those
+    of P's factors above X, which are A's under the isomorphism; by
+    Jordan-Hoelder no verdict depends on the series walked."""
+    A = G._cached("action_image", lambda G: None)  # recorded by factor_semidirect only
+    if A is None:
+        yield from ascend(G)
+        return
+    yield next(ascend(G))
+    yield from ascend(A)
+
+
 class ChiefSeries:
     """An ascending chief series of G from the trivial subgroup to G: the
     ascent that accepts every factor, walked once on construction."""
 
-    def __init__(self, ambient: PermGroup, reverse_tiebreak: bool = False):
-        last_first = (lambda Q: minimal_normal_subgroups(Q)[::-1]) if reverse_tiebreak else None
-        self.factors: tuple[ChiefFactor, ...] = tuple(ascend(ambient, candidates=last_first))
-        self.terms: tuple[Subgroup, ...] = (ambient.trivial_subgroup(),) + tuple(
-            cf.upper for cf in self.factors)
-
-    def __iter__(self) -> Iterator[ChiefFactor]:
-        return iter(self.factors)
+    def __init__(self, ambient: PermGroup):
+        self.factors: tuple[ChiefFactor, ...] = tuple(ascend(ambient))
 
     def factor_orders(self) -> tuple[int, ...]:
         return tuple(cf.factor.order for cf in self.factors)
@@ -197,14 +208,14 @@ def _encoding(sub: PermGroup) -> tuple:
     return tuple(p.images for p in sub.elements())
 
 
-def chief_series(G: PermGroup, reverse_tiebreak: bool = False) -> ChiefSeries:
+def chief_series(G: PermGroup) -> ChiefSeries:
     """A chief series built by lifting minimal normal subgroups of quotients.
 
     Tie-breaking among the minimal normal subgroups of the current quotient
-    is by least sorted element-set encoding (greatest when reverse_tiebreak),
-    so the construction is deterministic.
+    is by least sorted element-set encoding, so the construction is
+    deterministic.
     """
-    return ChiefSeries(G, reverse_tiebreak)
+    return ChiefSeries(G)
 
 
 def inner_induction_subgroup(cf: ChiefFactor) -> Subgroup:
@@ -244,15 +255,19 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     (Robinson 1996), in P as conjugation by h is a left times a right
     translation, and minimal as M is.  Each is built from the P-class of its
     least prime-order element as the class walk builds it: same generators.
+
+    P also records A itself, for ``chief_factors``.  A fixes the identity
+    coset and M and L are regular, so each X of them meets A trivially; as
+    |X| * |A| = |P| and X is normal, P = X x| A and P/X is A.
     """
     lim = current()
     n = cf.factor.order
-    quot = cf.image.order
-    if n > lim.semidirect_degree or n * quot > lim.enumeration:
-        raise ResourceLimitError(
-            f"factor semidirect product of order {n * quot} on {n} points "
-            f"exceeds the configured bounds"
-        )
+    order = n * cf.image.order
+    what = f"factor semidirect product of order {order} on {n} points"
+    if n > lim.semidirect_degree:
+        raise ResourceLimitError(f"{what} exceeds the point bound {lim.semidirect_degree}")
+    if order > lim.enumeration:
+        raise ResourceLimitError(f"{what} exceeds enumeration bound {lim.enumeration}")
     coset_of = cf._coset_of
     right, left = (  # the translations by H/K's generators
         [Permutation._unchecked(tuple(coset_of[times(c, h).images] for c in cf.cosets))
@@ -266,4 +281,5 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
         cls = next(walk_classes(product, elems, _has_prime_order, set()))
         normals.append(subgroup_from_elements(product, cls, _bound=product.order))
     product._cached("min_normals", lambda P: tuple(sorted(normals, key=_encoding)))
+    product._cached("action_image", lambda P: cf.image)
     return product

@@ -17,7 +17,10 @@ Every path reads G/C_G(H/K) as the chief factor's ``image``; none builds the
 kernel C_G(H/K).
 
 The definitional semidirect path stays available, and both shortcuts are
-asserted equal to it on every corpus chief factor in the tests.
+asserted equal to it on every corpus chief factor in the tests.  Quasi-F and
+Nca membership walk ``chiefs.chief_factors``: on the semidirect product P it
+walks P's action on its first chief factor X, then the chief series of the
+action image G/C_G(H/K) = P/X, so no quotient of P is built.
 
 Classes compare and hash by identity.  Only ``lattice.MASK_RULES`` is keyed
 by class, so it never serves one class's rule to another class that shares
@@ -33,7 +36,7 @@ from typing import Callable
 from .chiefs import (
     ChiefFactor,
     all_generators_induce_inner,
-    ascend,
+    chief_factors,
     factor_semidirect,
     minimal_normal_subgroups,
 )
@@ -131,7 +134,7 @@ def is_quasi_F(G: PermGroup, F: GroupClass) -> bool:
         raise InputError(
             f"quasi-{F.name} membership requires a class containing all nilpotent groups"
         )
-    for cf in ascend(G):
+    for cf in chief_factors(G):
         if all_generators_induce_inner(cf):
             continue
         if is_class_central(cf, F):
@@ -146,7 +149,7 @@ def is_quasinilpotent(G: PermGroup) -> bool:
 
 def is_nca_member(G: PermGroup) -> bool:
     """Abelian chief factors central, non-abelian chief factors simple."""
-    for cf in ascend(G):
+    for cf in chief_factors(G):
         if cf.factor.is_abelian():
             if not cf.is_central():
                 return False

@@ -242,8 +242,11 @@ def verify_remark4(corpus: Sequence[PermGroup]) -> list[VerificationReport]:
     """inner_induction_hypercenter(G) = Z_{N*}(G), per corpus group.
 
     Z_{N*} is climbed on the definitional semidirect path, not through N*'s
-    central test, which is this very criterion.  The int_* report fields
-    carry the inner-induction side of the comparison.
+    central test, which is this very criterion: each step tests membership
+    of P = (H/K) x| G/C_G(H/K) in N*, on P's first chief factor X in P and
+    then the chief series of the action image G/C_G(H/K) = P/X
+    (``chiefs.chief_factors``).  The int_* report fields carry the
+    inner-induction side of the comparison.
     """
     return list(run_suite(corpus, QUASINILPOTENT.name, remark4_sides))
 

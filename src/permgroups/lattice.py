@@ -359,10 +359,6 @@ class SubgroupLattice:
             self._nodes[i] = sub
         return sub
 
-    @property
-    def nodes(self) -> list[Subgroup]:
-        return [self.node(i) for i in range(len(self._masks))]
-
     def subgroup_from_mask(self, mask: int) -> Subgroup:
         """The node with this mask; an intersection of node masks is one."""
         return self.node(self._mask_pos[mask])

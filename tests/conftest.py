@@ -10,8 +10,11 @@ element at a time, ``naive_factor_centralizer`` tests every element of G,
 ``naive_project`` maps g into G/K coset by coset,
 ``element_semidirect`` builds the chief factor's semidirect product on
 the factor's elements, ``naive_minimal_normal_subgroups`` compares full
-element sets and ``hypercenter_oracle`` is the product of every
-X-hypercentral normal subgroup that ``normal_subgroups`` finds.  Expected
+element sets, ``hypercenter_oracle`` is the product of every
+X-hypercentral normal subgroup that ``normal_subgroups`` finds and
+``member_by_ascent`` walks every chief series of a membership test on
+``chiefs.ascend``, a factor semidirect product's too.  ``WalkedSeries``
+walks a chief series under either tie-break and keeps its terms.  Expected
 values asserted in the tests were computed with these oracles and then
 frozen.
 """
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import settings
 
 import permgroups as pg
+from permgroups.chiefs import ascend
 from permgroups.perms import Permutation
 from permgroups.primes import is_prime
 
@@ -292,6 +296,31 @@ def element_semidirect(cf: pg.ChiefFactor) -> pg.PermGroup:
         for sigma in map(cf.action_of, cf.ambient.generators)
     ]
     return pg.PermGroup(len(elems), gens)
+
+
+class WalkedSeries:
+    """A chief series of G walked on ``chiefs.ascend``, with its terms
+    1 = K_0 < K_1 < ... < G.  The forward tie-break is ``chief_series(G)``'s;
+    ``reverse`` lifts the last minimal normal subgroup of each quotient in
+    encoding order instead of the first."""
+
+    def __init__(self, G: pg.PermGroup, reverse: bool = False):
+        last_first = (lambda Q: pg.minimal_normal_subgroups(Q)[::-1]) if reverse else None
+        self.factors: tuple[pg.ChiefFactor, ...] = tuple(ascend(G, candidates=last_first))
+        self.terms = (G.trivial_subgroup(),) + tuple(cf.upper for cf in self.factors)
+
+    def factor_orders(self) -> tuple[int, ...]:
+        return tuple(cf.factor.order for cf in self.factors)
+
+
+def member_by_ascent(X: pg.GroupClass, G: pg.PermGroup) -> bool:
+    """``X.member(G)`` with every chief series it walks, nested ones included,
+    walked on ``chiefs.ascend``: the generic walk, which builds the quotients
+    of a factor semidirect product P where ``chiefs.chief_factors`` walks
+    P's action image instead."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pg.classes, "chief_factors", ascend)
+        return X.member(G)
 
 
 def naive_minimal_normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:

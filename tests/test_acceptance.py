@@ -14,6 +14,7 @@ from permgroups.classes import is_s_critical
 from permgroups.perms import Permutation
 
 from conftest import (
+    WalkedSeries,
     brute_subgroups,
     hypercenter_oracle,
     induces_inner_automorphism,
@@ -90,7 +91,7 @@ def test_criterion_6_jordan_hoelder_invariance(standard):
     """Opposed tie-breaking gives the same (order, X-centrality) multisets."""
     for G in standard:
         fwd = pg.chief_series(G)
-        rev = pg.chief_series(G, reverse_tiebreak=True)
+        rev = WalkedSeries(G, reverse=True)
         for X in JH_CLASSES:
             fwd_sig = sorted(
                 (cf.factor.order, pg.is_class_central(cf, X)) for cf in fwd.factors
@@ -155,7 +156,7 @@ def test_criterion_8_local_path_equals_definitional(standard):
     """Lemma-1 fast path == semidirect path for N, on every corpus factor."""
     checked = 0
     for G in standard:
-        for series in (pg.chief_series(G), pg.chief_series(G, reverse_tiebreak=True)):
+        for series in (pg.chief_series(G), WalkedSeries(G, reverse=True)):
             for cf in series.factors:
                 local = pg.is_class_central_local(cf, pg.NILPOTENT)
                 definitional = pg.is_class_central_semidirect(cf, pg.NILPOTENT)
@@ -169,7 +170,7 @@ def test_criterion_8_inner_criterion_equals_definitional(standard):
     """Remark-4 central test == semidirect path for N*, on every corpus factor."""
     checked = 0
     for G in standard:
-        for series in (pg.chief_series(G), pg.chief_series(G, reverse_tiebreak=True)):
+        for series in (pg.chief_series(G), WalkedSeries(G, reverse=True)):
             for cf in series.factors:
                 fast = pg.is_class_central(cf, pg.QUASINILPOTENT)
                 definitional = pg.is_class_central_semidirect(cf, pg.QUASINILPOTENT)

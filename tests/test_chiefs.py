@@ -4,6 +4,7 @@ and the factor semidirect product."""
 import gc
 import math
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -15,10 +16,12 @@ from permgroups.perms import Permutation, parse_permutation
 from permgroups.primes import is_prime, prime_divisors
 
 from conftest import (
+    WalkedSeries,
     element_orders,
     element_semidirect,
     factor_element_cosets,
     induces_inner_automorphism,
+    member_by_ascent,
     naive_factor_centralizer,
     naive_minimal_normal_subgroups,
     naive_project,
@@ -49,7 +52,7 @@ def test_minimal_normal_subgroups_examples():
 def test_chief_series_s4():
     series = pg.chief_series(pg.symmetric(4))
     assert series.factor_orders() == (4, 3, 2)
-    assert [t.order for t in series.terms] == [1, 4, 12, 24]
+    assert [cf.upper.order for cf in series.factors] == [4, 12, 24]
 
 
 def test_chief_series_simple_and_abelian():
@@ -225,7 +228,7 @@ def test_semisimple_decomposition_swap_product():
 def test_jordan_hoelder_factor_order_multisets():
     for G in [pg.symmetric(4), pg.cyclic(12), pg.special_linear2(3), pg.dihedral(20)]:
         fwd = pg.chief_series(G)
-        rev = pg.chief_series(G, reverse_tiebreak=True)
+        rev = WalkedSeries(G, reverse=True)
         assert sorted(fwd.factor_orders()) == sorted(rev.factor_orders())
 
 
@@ -249,8 +252,8 @@ def _record_chief_factors(monkeypatch) -> list:
 
 
 def _same_series(A, B) -> bool:
-    return A.factor_orders() == B.factor_orders() and [
-        t.element_set() for t in A.terms] == [t.element_set() for t in B.terms]
+    return [(cf.factor.order, cf.upper.element_set()) for cf in A.factors] == [
+        (cf.factor.order, cf.upper.element_set()) for cf in B.factors]
 
 
 def test_quasi_F_walk_stops_at_the_first_failing_factor(monkeypatch):
@@ -264,7 +267,7 @@ def test_quasi_F_walk_stops_at_the_first_failing_factor(monkeypatch):
     # the full series equals a fresh copy's
     fresh = pg.PermGroup(P.degree, P.generators)
     for reverse in (False, True):
-        assert _same_series(pg.chief_series(P, reverse), pg.chief_series(fresh, reverse))
+        assert _same_series(WalkedSeries(P, reverse), WalkedSeries(fresh, reverse))
 
 
 def test_nca_walk_stops_at_the_first_failing_factor(monkeypatch):
@@ -285,7 +288,7 @@ def test_chief_walk_records_no_factor_that_raises(monkeypatch):
         with pytest.raises(ResourceLimitError):
             pg.is_quasinilpotent(S5)
     assert pg.chief_series(S5).factor_orders() == (60, 2)
-    assert [t.order for t in pg.chief_series(S5).terms] == [1, 60, 120]
+    assert [cf.upper.order for cf in pg.chief_series(S5).factors] == [60, 120]
     # a factor whose construction raises midway leaves nothing behind either:
     # the next walk finishes the same series as a fresh group's
     S4 = pg.symmetric(4)
@@ -356,7 +359,7 @@ def _assert_centralizer_matches_walk(cf):
 def test_factor_centralizer_matches_element_walk_standard(standard):
     factors = 0
     for G in standard:
-        for series in (pg.chief_series(G), pg.chief_series(G, reverse_tiebreak=True)):
+        for series in (pg.chief_series(G), WalkedSeries(G, reverse=True)):
             for cf in series.factors:
                 _assert_centralizer_matches_walk(cf)
                 factors += 1
@@ -374,7 +377,51 @@ def test_factor_centralizer_matches_element_walk_semidirect(remark4_products):
 def _both_series_factors(groups):
     for G in groups:
         for reverse in (False, True):
-            yield from pg.chief_series(G, reverse_tiebreak=reverse).factors
+            yield from WalkedSeries(G, reverse).factors
+
+
+# a user class with no local definition: quasi-F centrality of P's own chief
+# factors takes the semidirect path again, one level down
+_F_DEF = pg.GroupClass(name="N-def", membership=pg.is_nilpotent, contains_nilpotent=True)
+
+
+def _factor_signature(factors) -> list:
+    # by Jordan-Hoelder, the same multiset on every chief series of a group
+    return sorted((f.factor.order, chiefs.all_generators_induce_inner(f),
+                   pg.is_class_central(f, pg.NILPOTENT)) for f in factors)
+
+
+def _semidirect_walk_verdicts(factors) -> Counter:
+    # the recorded action image A is a complement to every recorded minimal
+    # normal subgroup X of P; walking X in P, then A = P/X, meets the factors
+    # of P's own chief series, and membership on it equals membership on
+    # P's own series
+    verdicts: Counter = Counter()
+    for cf in factors:
+        P = pg.factor_semidirect(cf)
+        A = P._cache["action_image"]
+        assert A.order == P.order // cf.factor.order
+        for X in P._cache["min_normals"]:
+            assert not any(A.contains(x) for x in X.elements() if not x.is_identity())
+        walked = _factor_signature(chiefs.chief_factors(P))
+        assert walked == _factor_signature(chiefs.ascend(P)), cf
+        for cls in (pg.QUASINILPOTENT, pg.NCA, pg.quasi_class(_F_DEF)):
+            verdict = pg.is_class_central_semidirect(cf, cls)
+            assert verdict == member_by_ascent(cls, P), (cf, cls.name)
+            verdicts[cls.name, verdict] += 1
+    return verdicts
+
+
+def test_semidirect_walk_matches_ascent_standard(standard):
+    verdicts = _semidirect_walk_verdicts(_both_series_factors(standard))
+    assert verdicts == {("N*", True): 120, ("N*", False): 30, ("Nca", True): 122,
+                        ("Nca", False): 28, ("(N-def)*", True): 120, ("(N-def)*", False): 30}
+
+
+def test_semidirect_walk_matches_ascent_semidirect(remark4_products):
+    verdicts = _semidirect_walk_verdicts(_both_series_factors(remark4_products))
+    assert verdicts == {("N*", True): 138, ("N*", False): 40, ("Nca", True): 142,
+                        ("Nca", False): 36, ("(N-def)*", True): 138, ("(N-def)*", False): 40}
 
 
 def _assert_centralizer_is_quotient_centralizer(cf):
@@ -445,7 +492,7 @@ def _project_pairs_checked(groups, elements_of) -> int:
     pairs = 0
     for G in groups:
         for reverse in (False, True):
-            for K in pg.chief_series(G, reverse_tiebreak=reverse).terms[1:]:
+            for K in WalkedSeries(G, reverse).terms[1:]:
                 Q = pg.quotient_group(G, K)
                 for g in elements_of(G, Q):
                     assert Q.project(g) == naive_project(Q, g)
@@ -513,7 +560,7 @@ def _assert_minimal_normals_match(G):
 def test_minimal_normal_subgroups_match_element_sets_standard(standard):
     for G in standard:
         _assert_minimal_normals_match(G)
-        for K in pg.chief_series(G).terms[1:-1]:
+        for K in WalkedSeries(G).terms[1:-1]:
             _assert_minimal_normals_match(pg.quotient_group(G, K).group)
 
 
@@ -547,7 +594,7 @@ def test_seeded_minimal_normal_subgroups_match_class_walk_semidirect(remark4_pro
 
 @pytest.mark.parametrize("G, verdict", [
     (pg.symmetric(5), False),  # S5 acts outer on A5: the walk stops at M
-    (pg.alternating(5), True),  # M x L: the walk goes on through P/M
+    (pg.alternating(5), True),  # M x L: the walk goes on through A = P/M
 ], ids=["S5", "A5"])
 def test_definitional_path_enumerates_no_product(G, verdict):
     cf = pg.chief_series(G).factors[0]
@@ -559,7 +606,7 @@ def test_definitional_path_enumerates_no_product(G, verdict):
 
 def test_quotient_checks_the_enumeration_bound_on_the_order():
     S5 = pg.symmetric(5)
-    A5 = pg.chief_series(S5).terms[1]
+    A5 = pg.chief_series(S5).factors[0].upper
     with pg.limits_scope(pg.Limits(enumeration=10)):
         with pytest.raises(ResourceLimitError, match="^group order 120 exceeds enumeration bound 10$"):
             pg.quotient_group(S5, A5)

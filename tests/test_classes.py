@@ -13,7 +13,7 @@ from permgroups.classes import is_s_critical
 from permgroups.errors import InputError
 from permgroups.perms import Permutation
 
-from conftest import nilpotent_oracle
+from conftest import WalkedSeries, nilpotent_oracle
 
 BUILTIN_CLASSES = (pg.NILPOTENT, pg.QUASINILPOTENT, pg.NCA, pg.ABELIAN, pg.ALL_GROUPS)
 
@@ -212,7 +212,7 @@ def test_membership_is_relabeling_invariant(relabel):
 def test_quasi_F_same_under_reversed_tiebreak(standard):
     for G in standard:
         fwd = pg.chief_series(G)
-        rev = pg.chief_series(G, reverse_tiebreak=True)
+        rev = WalkedSeries(G, reverse=True)
 
         def verdict(series):
             out = True

@@ -197,6 +197,19 @@ def test_cli_exit_code_resource_bound():
     assert "5" in err
 
 
+def test_cli_compare_nca_on_psl27_names_the_enumeration_bound(tmp_path):
+    # PSL(2,7) is simple, so its one chief factor's semidirect product has
+    # order 168^2 = 28224, above the default enumeration bound
+    grp = tmp_path / "psl27.txt"
+    grp.write_text("degree 8\n(0 1 2 3 4 5 6)\n(0 7)(1 6)(2 3)(4 5)\n")
+    code, out, err = _run_cli(["compare-nca", "--group", str(grp), "--no-timings"])
+    assert code == 3 and "Traceback" not in err
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["order"] == 168
+    assert record["error"] == ("factor semidirect product of order 28224 on 168 points "
+                               "exceeds enumeration bound 10000")
+
+
 def test_cli_unknown_class():
     code, _, err = _run_cli(["hypercenter", "--class", "wat", "--corpus", "smoke"])
     assert code == 2

@@ -12,7 +12,7 @@ from permgroups.errors import InputError, PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
 from permgroups.perms import Permutation, parse_permutation
 
-from conftest import closure_elements, element_orders
+from conftest import WalkedSeries, closure_elements, element_orders
 
 
 def test_group_from_generators_examples():
@@ -86,7 +86,7 @@ def test_transversal_pairs_compose_to_identity(standard):
     # on each standard group and on the quotients of its chief series
     for G in standard:
         chains = [G.chain]
-        chains += [pg.quotient_group(G, K).group.chain for K in pg.chief_series(G).terms]
+        chains += [pg.quotient_group(G, K).group.chain for K in WalkedSeries(G).terms]
         for chain in chains:
             identity = tuple(range(chain.degree))
             for lvl in chain.levels:
@@ -382,7 +382,7 @@ def test_tuple_kernel_matches_permutation_products(standard):
         assert walked == _product_classes(G)
         own = {id(e) for e in G.elements()}
         assert all(id(x) in own for cls in walked for x in cls)
-        series = pg.chief_series(G)
+        series = WalkedSeries(G)
         for K in series.terms:  # G/G has degree 1
             Q = pg.quotient_group(G, K)
             if K.is_trivial():

@@ -34,7 +34,7 @@ def test_lattice_matches_brute_oracle(G):
     # independent oracle: add-one-element closure from the trivial subgroup
     oracle = brute_subgroups(G)
     lattice = pg.all_subgroups(G)
-    found = {sub.element_set() for sub in lattice.nodes}
+    found = {lattice.node(i).element_set() for i in range(lattice.node_count())}
     assert found == oracle
     assert len(found) == lattice.node_count()
 
