@@ -69,7 +69,6 @@ orbit representative.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from functools import partial
 from itertools import compress
@@ -92,15 +91,20 @@ MASK_RULES: dict[GroupClass, Callable[[int, bool], bool | None]] = {}
 _BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _members(mask: int, n: int) -> list[int]:
+    """The elements of a mask over n elements, ascending."""
+    member = bytes(format(mask, f"0{n}b")[::-1], "ascii").translate(_BYTES)
+    return list(compress(range(n), member))
+
+
 class _CosetTable:
     """The right cosets Hy of one orbit representative H, shared by its joins."""
 
     __slots__ = ("bits", "cols", "label", "cosets", "masks")
 
-    def __init__(self, cols: list[array], bits: list[int], mask: int):
+    def __init__(self, cols: list[list[int]], bits: list[int], mask: int):
         n = len(bits)
-        member = bytes(format(mask, f"0{n}b")[::-1], "ascii").translate(_BYTES)
-        elems = list(compress(range(n), member))
+        elems = _members(mask, n)
         self.bits = bits  # element x -> 1 << x
         self.cols = cols  # right multiplication by H's non-central generators
         self.label = [-1] * n  # element x -> id of the coset Hx, -1 until met
@@ -119,8 +123,8 @@ class _CosetTable:
         return d
 
 
-def _compose(word: dict[int, tuple[int, int]], cache: dict[int, array],
-             gen_arrays: list[array], x: int) -> array:
+def _compose(word: dict[int, tuple[int, int]], cache: dict[int, list[int]],
+             gen_arrays: list[list[int]], x: int) -> list[int]:
     """Array of element x for an action given on G's generators, composed along
     x's word (x is ``word[x][0]`` times generator ``word[x][1]``)."""
     path = []
@@ -130,7 +134,7 @@ def _compose(word: dict[int, tuple[int, int]], cache: dict[int, array],
     arr = cache[x]
     for y in reversed(path):
         step = gen_arrays[word[y][1]]
-        arr = cache[y] = array("H", map(step.__getitem__, arr))
+        arr = cache[y] = list(map(step.__getitem__, arr))
     return arr
 
 
@@ -142,7 +146,7 @@ class SubgroupLattice:
         bound = current().lattice
         if n > bound:
             raise ResourceLimitError(f"subgroup lattice bound {bound} exceeded by group order {n}")
-        if n > 1 << 16:  # element indexes are array("H") entries
+        if n > 1 << 16:  # the column caches could hold 2n lists of n entries
             raise ResourceLimitError(f"lattice index range 65536 exceeded by order {n}")
         self.ambient = ambient
         elems = self._elems = ambient.elements()
@@ -151,8 +155,8 @@ class SubgroupLattice:
         identity_idx = self._identity_idx = index[tuple(range(ambient.degree))]
         # right multiplication and conjugation by each generator of G
         gens = [(g.images, itemgetter(*g.inverse().images)) for g in ambient.generators]
-        gen_columns = [array("H") for _ in gens]
-        conj_arrays = [array("H") for _ in gens]
+        gen_columns: list[list[int]] = [[] for _ in gens]
+        conj_arrays: list[list[int]] = [[] for _ in gens]
         for e in elems:
             times = itemgetter(*e.images)  # e * q for an image tuple q
             for (g, inv_times), col, conj_arr in zip(gens, gen_columns, conj_arrays):
@@ -171,8 +175,8 @@ class SubgroupLattice:
         self._max_proper = n // smallest_prime_factor(n) if n > 1 else 0
 
         # column(x)[e] is the index of e*x, conj(x)[e] that of x^-1*e*x; their
-        # caches, up to n arrays of n entries, go with the build
-        identity = array("H", range(n))
+        # caches, up to n lists of n entries, go with the build
+        identity = list(range(n))
         column = partial(_compose, word, {identity_idx: identity}, gen_columns)
         conj = partial(_compose, word, {identity_idx: identity}, conj_arrays)
         gen_info, orbits = self._build(index, _nilpotent, conj_arrays, column, conj)
@@ -188,7 +192,7 @@ class SubgroupLattice:
 
     # -- construction ------------------------------------------------------
 
-    def _closure_mask(self, table: _CosetTable, seed_col: array) -> int:
+    def _closure_mask(self, table: _CosetTable, seed_col: list[int]) -> int:
         """Mask of <H, s>, given the right coset table of H and the column of
         s; returns the full mask early once |<H, s>| > n/p_min.
 
@@ -217,14 +221,26 @@ class SubgroupLattice:
                 found.append(e)
         return sum(map(masks.__getitem__, found))
 
-    def _conjugate_mask(self, mask: int, conj: array) -> int:
-        new = 0
-        m = mask
-        while m:
-            low = m & -m
-            new |= 1 << conj[low.bit_length() - 1]
-            m ^= low
-        return new
+    def _conjugates(self, mask: int, gen_idxs: tuple[int, ...], moving: list[list[int]],
+                    bits: list[int]) -> dict[int, tuple[int, ...]]:
+        """The orbit of a node under conjugation by the arrays ``moving``: each
+        conjugate's mask, with the node's generators conjugated along the way.
+
+        Each conjugate's element list is the image of an earlier one's under
+        one array, and its mask the sum of its elements' bits.
+        """
+        orbit = {mask: gen_idxs}
+        queue = [(mask, _members(mask, self._n))]
+        while queue:
+            cur, elems = queue.pop()
+            cur_gens = orbit[cur]
+            for arr in moving:
+                img_elems = list(map(arr.__getitem__, elems))
+                img = sum(map(bits.__getitem__, img_elems))
+                if img not in orbit:
+                    orbit[img] = tuple(map(arr.__getitem__, cur_gens))
+                    queue.append((img, img_elems))
+        return orbit
 
     def _cyclic_masks(self, index: dict[tuple, int]) -> dict[int, int]:
         """The mask of <x> for each element x of prime-power order > 1, from
@@ -245,14 +261,15 @@ class SubgroupLattice:
             cyclic[x] = mask
         return cyclic
 
-    def _build(self, index: dict[tuple, int], nilpotent: bool, conj_arrays: list[array],
-               column: Callable[[int], array], conj: Callable[[int], array]) -> tuple[dict, list]:
+    def _build(self, index: dict[tuple, int], nilpotent: bool, conj_arrays: list[list[int]],
+               column: Callable[[int], list[int]],
+               conj: Callable[[int], list[int]]) -> tuple[dict, list]:
+        n = self._n
         trivial_mask = 1 << self._identity_idx
         full_mask = self._full_mask
         # the centre, and conjugation by the non-central generators of G
-        central = sum(1 << x for x in range(self._n)
-                      if all(arr[x] == x for arr in conj_arrays))
-        identity = array("H", range(self._n))
+        central = sum(1 << x for x in range(n) if all(arr[x] == x for arr in conj_arrays))
+        identity = list(range(n))
         moving = [arr for arr in conj_arrays if arr != identity]
 
         # cyclic prime-power seeds, one per distinct subgroup
@@ -263,34 +280,27 @@ class SubgroupLattice:
         seed_list = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         seed_pos = {mask: i for i, (mask, _) in enumerate(seed_list)}
         seed_of = {x: seed_pos[mask] for x, mask in cyclic.items()}
-        bits = [1 << x for x in range(self._n)]
+        bits = [1 << x for x in range(n)]
         seed_bits = [bits[x] for _, x in seed_list]
         admits = self._is_nilpotent if nilpotent else lambda mask: True
 
         gen_info: dict[int, tuple[int, ...]] = {trivial_mask: ()}
+        by_order: dict[int, list[int]] = {}  # subgroup order -> the masks of gen_info
         orbits: list = [(trivial_mask,)]
         worklist: deque[int] = deque()
 
         def admit_orbit(mask: int, gen_idxs: tuple[int, ...]) -> None:
             # register every conjugate; queue the orbit representative
-            orbit = {mask: gen_idxs}
-            queue = [mask]
-            while queue:
-                cur = queue.pop()
-                cur_gens = orbit[cur]
-                for arr in moving:
-                    img = self._conjugate_mask(cur, arr)
-                    if img not in orbit:
-                        orbit[img] = tuple(arr[g] for g in cur_gens)
-                        queue.append(img)
+            orbit = self._conjugates(mask, gen_idxs, moving, bits) if moving else {mask: gen_idxs}
             gen_info.update(orbit)
+            by_order.setdefault(mask.bit_count(), []).extend(orbit)
             orbits.append(orbit)
             worklist.append(min(orbit))
 
         for mask, gen in seed_list:
             if mask not in gen_info:
                 admit_orbit(mask, (gen,))
-        divisors = [d for d in range(2, self._max_proper + 1) if self._n % d == 0]
+        divisors = [d for d in range(2, self._max_proper + 1) if n % d == 0]
         while worklist:
             rep = worklist.popleft()
             if rep == full_mask:
@@ -305,11 +315,18 @@ class SubgroupLattice:
             if not only_full:
                 table = _CosetTable([column(g) for g in moving_gens], bits, rep)
             # the first seed outside rep of each class of seeds under conjugation
-            # by rep, skipping seeds inside a join of prime index over rep found
-            # before; a seed's class lies in that join too
+            # by rep, skipping seeds inside a known node or a join of prime index
+            # over rep; a seed's class lies in that node too
             conjs = [conj(g) for g in moving_gens]
             seen = bytearray(len(seed_list))
-            covered = rep  # rep and the joins found of prime index over it
+            covered = rep  # rep and the nodes of prime index over it
+            if not only_full:  # else the only such node is G, and G is unknown
+                for q in prime_divisors(n // order):
+                    known = by_order.get(order * q, ())
+                    if len(known) <= n:  # a larger order class costs more than it saves
+                        for K in known:
+                            if K & rep == rep:
+                                covered |= K
             for i, seed_bit in enumerate(seed_bits):
                 if covered & seed_bit or seen[i]:
                     continue

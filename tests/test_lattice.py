@@ -1,7 +1,5 @@
 """Subgroup lattice enumeration, maximal and X-maximal masks."""
 
-from array import array
-
 import pytest
 
 import permgroups as pg
@@ -96,7 +94,10 @@ _DP = pg.direct_product
      # centre of order 2: a central generator next to non-central ones
      pg.special_linear2(3),
      # abelian: every generator central, no class search and no conjugate
-     _DP(pg.cyclic(8), pg.elementary_abelian(2, 2))],
+     _DP(pg.cyclic(8), pg.elementary_abelian(2, 2)),
+     # 35 subgroups of order 4 against 16 elements: known nodes of that order
+     # are not read (D8xD8 has order classes on both sides of its order too)
+     pg.elementary_abelian(2, 4)],
     ids=lambda g: g.name,
 )
 def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
@@ -114,6 +115,26 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "G, build, closures",
+    [pytest.param(_DP(pg.dihedral(8), pg.dihedral(8)), pg.all_subgroups, 2522, id="D8xD8"),
+     pytest.param(_DP(pg.cyclic(8), pg.elementary_abelian(2, 2)), pg.all_subgroups, 132,
+                  id="C8xE(2,2)"),
+     pytest.param(pg.elementary_abelian(2, 4), pg.all_subgroups, 118, id="E(2,4)"),
+     pytest.param(pg.symmetric(5), pg.all_subgroups, 180, id="S5"),
+     pytest.param(pg.symmetric(5), pg.nilpotent_subgroups, 22, id="S5-nilpotent")],
+)
+def test_build_closure_counts(G, build, closures, monkeypatch):
+    # pinned: a seed inside a known node of prime index over H is not joined
+    # (2829, 203, 210, 203 and 30 closures when only the joins over H counted)
+    calls = []
+    closure = pg.SubgroupLattice._closure_mask
+    monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask",
+                        lambda self, table, col: calls.append(col) or closure(self, table, col))
+    build(G)
+    assert len(calls) == closures
+
+
+@pytest.mark.parametrize(
     "G",
     [pg.symmetric(4), _DP(pg.dihedral(8), pg.symmetric(3)), _DP(pg.dihedral(8), pg.dihedral(8)),
      # abelian, 38 subgroups; E(2,2)xE(3,2) would skip every join that gives G
@@ -124,11 +145,11 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
     # every join of the build, checked against growing it one element at a time
     elems = G.elements()
     index = {e: i for i, e in enumerate(elems)}
-    columns: dict[int, array] = {}
+    columns: dict[int, list[int]] = {}
 
     def column(x):  # the index of e * x for each e, from permutation products
         if x not in columns:
-            columns[x] = array("H", (index[e * elems[x]] for e in elems))
+            columns[x] = [index[e * elems[x]] for e in elems]
         return columns[x]
 
     joins = []  # (H's mask, the generators of H's columns, the seed, <H, seed>)
@@ -140,7 +161,7 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
         H = table.cosets[0]
         assert sorted(H) == H and sum(1 << x for x in H) == table.masks[0]
         seed, col_gens = seed_col[self._identity_idx], [c[self._identity_idx] for c in table.cols]
-        assert [seed_col, *table.cols] == [column(seed), *map(column, col_gens)]
+        assert [list(c) for c in (seed_col, *table.cols)] == [column(seed), *map(column, col_gens)]
         # a seed inside a join of prime index over H found before is not joined
         found = prime_index_joins.setdefault(table.masks[0], [])
         assert not any(J >> seed & 1 for J in found)
@@ -162,6 +183,16 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
     monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask", checked)
     lattice = pg.SubgroupLattice(G)
     central = {x for x, e in enumerate(elems) if all(e * g == g * e for g in G.generators)}
+    # the nodes known when H's seed loop began: the orbits of the cyclic seeds
+    # and of every join over an earlier representative
+    orbit_of = {}
+    for orbit in lattice.conjugation_orbits:
+        masks = [lattice._masks[i] for i in orbit]
+        orbit_of.update(dict.fromkeys(masks, masks))
+    known = set()
+    for mask in lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)}).values():
+        known.update(orbit_of[mask])
+    H_before = None
     for H_mask, col_gens, seed, mask in joins:
         # H is a node; the columns are those of its generators not central in
         # G (a central one fixes every Hy)
@@ -169,6 +200,15 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
         assert H_mask == elementwise_closure_mask(lattice, gens)
         assert col_gens == [g for g in gens if g not in central]
         assert mask == elementwise_closure_mask(lattice, gens + (seed,))
+        if H_mask != H_before:  # H's seed loop begins
+            known_at_start = set(known)
+            H_before = H_mask
+        # no join returns a node known, of prime index over H, when H's loop
+        # began, unless more than |G| known nodes had that node's order
+        order = mask.bit_count()
+        if mask in known_at_start and is_prime(order // H_mask.bit_count()):
+            assert sum(K.bit_count() == order for K in known_at_start) > len(elems)
+        known.update(orbit_of[mask])
     # both the early exit (G itself) and complete proper closures were taken
     results = [mask for *_, mask in joins]
     assert lattice._full_mask in results
@@ -191,11 +231,11 @@ def test_word_arrays_match_products(monkeypatch):
         elems = G.elements()
         index = {e: i for i, e in enumerate(elems)}
         for g, conj in zip(G.generators, built["conj_arrays"], strict=True):
-            assert conj == array("H", (index[g.inverse() * e * g] for e in elems))
+            assert list(conj) == [index[g.inverse() * e * g] for e in elems]
         for x, g in enumerate(elems):
-            assert built["column"](x) == array("H", (index[e * g] for e in elems))
+            assert list(built["column"](x)) == [index[e * g] for e in elems]
             g_inv = g.inverse()
-            assert built["conj"](x) == array("H", (index[g_inv * e * g] for e in elems))
+            assert list(built["conj"](x)) == [index[g_inv * e * g] for e in elems]
         cyclic = lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)})
         prime_power = [x for x, e in enumerate(elems) if is_prime_power(e.order())]
         assert sorted(cyclic) == prime_power
@@ -219,9 +259,9 @@ def test_finished_lattice_keeps_only_what_its_queries_read():
 def test_abelian_build_conjugates_no_mask(G, monkeypatch):
     # every generator of an abelian group is central and fixes every mask
     calls = []
-    conjugate = pg.SubgroupLattice._conjugate_mask
-    monkeypatch.setattr(pg.SubgroupLattice, "_conjugate_mask",
-                        lambda self, mask, conj: calls.append(mask) or conjugate(self, mask, conj))
+    conjugates = pg.SubgroupLattice._conjugates
+    monkeypatch.setattr(pg.SubgroupLattice, "_conjugates",
+                        lambda self, mask, *args: calls.append(mask) or conjugates(self, mask, *args))
     assert pg.SubgroupLattice(G).node_count() == len(brute_subgroups(G))
     assert calls == []
     # the counter sees the calls of a group with a non-central generator
