@@ -7,17 +7,23 @@ representative H per conjugacy orbit and the orbits are then closed
 explicitly; since the seed family is conjugation-closed, every join chain
 from cyclic seeds survives conjugation and the full lattice is reached (the
 tests cross-check this against an independent add-one-element closure
-oracle).  Three kinds of join cannot find a new subgroup and are not
+oracle).  Four kinds of join cannot find a new subgroup and are not
 computed: for h in H, <H, s^h> = <H, s>^h = <H, s>, so only the first seed of
 each class under conjugation by H is joined; when no order strictly between
 |H| and |G| is a multiple of |H| dividing |G| and at most |G|/p, p the least
-prime dividing |G|, Lagrange leaves G as the only join; and a seed inside a
-join J = <H, s> of prime index over H found before gives J again, as no
-subgroup lies strictly between H and J.  A join <H, s> grows by whole right
-cosets of the orbit representative H (Dimino's algorithm; Butler,
-*Fundamental Algorithms for Permutation Groups*, §6): each coset times a
-generator is inside the union found so far or disjoint from it, so one
-element decides.  All joins over H share one table of its right cosets: the
+prime dividing |G|, Lagrange leaves G as the only join; a seed inside a join
+J = <H, s> of prime index over H found before gives J again, as no subgroup
+lies strictly between H and J; and, for the same reason, a seed inside a node
+K of prime index over H, known when H's joins begin, gives K, which admits
+nothing.  Those K are found by reading the known nodes of order q|H|, q
+prime, once per H, and an order class of more than |G| masks is not read: H
+saves at most one join per seed, fewer than |G|, and reading classes of tens
+of thousands of masks for every H costs more than the joins it saves
+(E(3,3)xE(3,3) has order classes of 11011 and 33880).  A join <H, s> grows
+by whole right cosets of the orbit representative H (Dimino's algorithm;
+Butler, *Fundamental Algorithms for Permutation Groups*, §6): each coset
+times a generator is inside the union found so far or disjoint from it, so
+one element decides.  All joins over H share one table of its right cosets: the
 coset id of each element met, each coset's elements and its mask.  A join
 walks coset ids and ORs the masks of the cosets it finds; only a coset no
 earlier join over H met costs work per element, once.
@@ -26,12 +32,15 @@ An element central in G fixes every mask and every seed under conjugation
 and, when it lies in H, every right coset of H (Hyh = Hhy = Hy).  So G's
 central generators are left out of the orbit closure, and H's out of the
 seed-class search and the coset closure; over an abelian G no mask is
-conjugated and no class is searched.  A seed inside a prime-index join over H
-is skipped before its class is searched, as the class lies in that join too.
-The centre is read off the conjugation arrays of G's generators, which, like
-their right multiplication arrays, come from image tuples; the arrays of any
-other element a join uses are composed from them along its word.  Each
-cyclic seed <x> is read off the powers of x's image tuple.
+conjugated and no class is searched.  A seed inside a node of prime index
+over H is skipped before its class is searched, as the class lies in that
+node too.  The centre is read off the conjugation arrays of G's generators,
+which, like their right multiplication arrays, come from image tuples; the
+arrays of any other element a join uses are composed from them along its
+word, as lists of element indexes.  An orbit is conjugated on element lists:
+each conjugate's elements are an earlier one's mapped through one
+generator's array.  Each cyclic seed <x> is read off the powers of x's image
+tuple.
 
 The nilpotent subgroups alone (``nilpotent_subgroups``) come from the same
 build admitting only nilpotent joins: subgroups of a nilpotent group are
@@ -264,12 +273,12 @@ class SubgroupLattice:
     def _build(self, index: dict[tuple, int], nilpotent: bool, conj_arrays: list[list[int]],
                column: Callable[[int], list[int]],
                conj: Callable[[int], list[int]]) -> tuple[dict, list]:
-        n = self._n
         trivial_mask = 1 << self._identity_idx
         full_mask = self._full_mask
         # the centre, and conjugation by the non-central generators of G
-        central = sum(1 << x for x in range(n) if all(arr[x] == x for arr in conj_arrays))
-        identity = list(range(n))
+        central = sum(1 << x for x in range(self._n)
+                      if all(arr[x] == x for arr in conj_arrays))
+        identity = list(range(self._n))
         moving = [arr for arr in conj_arrays if arr != identity]
 
         # cyclic prime-power seeds, one per distinct subgroup
@@ -280,7 +289,7 @@ class SubgroupLattice:
         seed_list = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         seed_pos = {mask: i for i, (mask, _) in enumerate(seed_list)}
         seed_of = {x: seed_pos[mask] for x, mask in cyclic.items()}
-        bits = [1 << x for x in range(n)]
+        bits = [1 << x for x in range(self._n)]
         seed_bits = [bits[x] for _, x in seed_list]
         admits = self._is_nilpotent if nilpotent else lambda mask: True
 
@@ -300,7 +309,7 @@ class SubgroupLattice:
         for mask, gen in seed_list:
             if mask not in gen_info:
                 admit_orbit(mask, (gen,))
-        divisors = [d for d in range(2, self._max_proper + 1) if n % d == 0]
+        divisors = [d for d in range(2, self._max_proper + 1) if self._n % d == 0]
         while worklist:
             rep = worklist.popleft()
             if rep == full_mask:
@@ -321,9 +330,9 @@ class SubgroupLattice:
             seen = bytearray(len(seed_list))
             covered = rep  # rep and the nodes of prime index over it
             if not only_full:  # else the only such node is G, and G is unknown
-                for q in prime_divisors(n // order):
+                for q in prime_divisors(self._n // order):
                     known = by_order.get(order * q, ())
-                    if len(known) <= n:  # a larger order class costs more than it saves
+                    if len(known) <= self._n:  # a larger order class costs more than it saves
                         for K in known:
                             if K & rep == rep:
                                 covered |= K

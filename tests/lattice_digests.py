@@ -11,7 +11,7 @@ nilpotent build behind ``verify-baer`` (``nilpotent_subgroups``, in
 ``tests/golden/nilpotent-digests.json``).  A change to either build may
 reorder nothing: the check compares every digest with its golden file,
 prints the builds that differ and exits 1 on any difference, 0 otherwise.
-The file name keeps pytest from collecting it; it takes a few minutes.
+The file name keeps pytest from collecting it; it takes about a minute.
 """
 
 from __future__ import annotations

@@ -73,8 +73,9 @@ def test_element_caches_honour_limits():
 @pytest.mark.parametrize("build", [pg.all_subgroups, pg.nilpotent_subgroups],
                          ids=["all", "nilpotent"])
 def test_lattice_refuses_orders_beyond_its_index_range(build):
-    # element indexes are 16-bit array entries: S8xC2 (order 80640) is refused
-    # within both bounds, before it is enumerated
+    # the column caches could hold 2n lists of n element indexes (64 GiB at
+    # order 65536): S8xC2 (order 80640) is refused within both bounds, before
+    # it is enumerated
     G = pg.direct_product(pg.symmetric(8), pg.cyclic(2))
     with pg.limits_scope(pg.Limits(enumeration=100_000, lattice=100_000)):
         with pytest.raises(ResourceLimitError) as err:
@@ -125,7 +126,6 @@ def test_lattice_build_matches_naive_join_loop(G, monkeypatch):
 )
 def test_build_closure_counts(G, build, closures, monkeypatch):
     # pinned: a seed inside a known node of prime index over H is not joined
-    # (2829, 203, 210, 203 and 30 closures when only the joins over H counted)
     calls = []
     closure = pg.SubgroupLattice._closure_mask
     monkeypatch.setattr(pg.SubgroupLattice, "_closure_mask",
@@ -261,7 +261,7 @@ def test_abelian_build_conjugates_no_mask(G, monkeypatch):
     calls = []
     conjugates = pg.SubgroupLattice._conjugates
     monkeypatch.setattr(pg.SubgroupLattice, "_conjugates",
-                        lambda self, mask, *args: calls.append(mask) or conjugates(self, mask, *args))
+                        lambda self, mask, *a: calls.append(mask) or conjugates(self, mask, *a))
     assert pg.SubgroupLattice(G).node_count() == len(brute_subgroups(G))
     assert calls == []
     # the counter sees the calls of a group with a non-central generator
