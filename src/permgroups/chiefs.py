@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
 from .groups import (
@@ -53,7 +53,6 @@ class ChiefFactor:
     def __init__(self, quotient: Quotient, factor: Subgroup):
         self.quotient, self.factor = quotient, factor
         self.ambient: PermGroup = quotient.ambient
-        self.upper: Subgroup = quotient.lift_subgroup(factor)
         # the cosets of K in H are the elements of H/K
         self.cosets: tuple[Permutation, ...] = factor.elements()
         self._coset_of = {e.images: i for i, e in enumerate(self.cosets)}
@@ -68,6 +67,11 @@ class ChiefFactor:
         return Permutation._unchecked(
             tuple(coset_of[itemgetter(*pre(rep.images))(g_images)] for rep in self.cosets)
         )
+
+    @cached_property
+    def upper(self) -> Subgroup:
+        """H, the full preimage of the factor, built on first read."""
+        return self.quotient.lift_subgroup(self.factor)
 
     @cached_property
     def centralizer(self) -> Subgroup:
@@ -94,15 +98,18 @@ class ChiefFactor:
 def ascend(
     G: PermGroup,
     step_ok: Callable[[ChiefFactor], bool] = lambda cf: True,
-    candidates: Callable[[PermGroup], list[Subgroup]] | None = None,
+    candidates: Callable[[PermGroup], Iterable[Subgroup]] | None = None,
+    keep: bool = False,
 ) -> Iterator[ChiefFactor]:
     """Greedy ascent from Z = 1: each step yields the factor of the first of
     ``candidates(G/Z)`` (by default the minimal normal subgroups of G/Z, in
     their encoding order) that passes ``step_ok``, and lifts Z to its upper
-    term.  The walk stops when no candidate passes or Z = G; it keeps nothing."""
+    term.  The walk stops when no candidate passes or Z = G; it keeps nothing
+    but, with ``keep``, its quotients G/Z (``groups.Quotient``), which later
+    walks of G read."""
     Z = G.trivial_subgroup()
     while Z.order < G.order:
-        Q = quotient_group(G, Z)
+        Q = quotient_group(G, Z, keep)
         # looked up per step, so an instrumented minimal_normal_subgroups is seen
         factors = (ChiefFactor(Q, mn) for mn in (candidates or minimal_normal_subgroups)(Q.group))
         cf = next(filter(step_ok, factors), None)
@@ -154,34 +161,69 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
 
 
 def _minimal_normals(G: PermGroup) -> tuple[Subgroup, ...]:
-    candidates: list[Subgroup] = []
+    """Candidates are decided on element sets of image tuples; only the
+    minimal ones become subgroups, with the generators ``_closure`` kept."""
+    candidates: list[tuple[list[Permutation], set[tuple]]] = []
     seen: set[tuple] = set()
     for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
-        rep = cls[0]
-        holding = [c.order for c in candidates if c.contains(rep)]  # each holds <<rep>>
-        N = subgroup_from_elements(G, cls, _bound=min(holding, default=G.order))  # <cls> = <<rep>>
-        if is_prime(N.order):
-            seen.update(e.images for e in N.elements())
+        rep = cls[0].images
+        holding = [len(c) for _, c in candidates if rep in c]  # each holds <<rep>>
+        gens, N = _closure(G.degree, cls, min(holding, default=G.order))  # <cls> = <<rep>>
+        if is_prime(len(N)):
+            seen.update(N)
         # N repeats a candidate iff one of its order holds rep (both are normal)
-        if N.order not in holding:
-            candidates.append(N)
-    candidates.sort(key=lambda s: s.order)
-    minimal: list[Subgroup] = []
-    for cand in candidates:
-        if not any(all(cand.contains(g) for g in kept.generators) for kept in minimal):
-            minimal.append(cand)
-    return tuple(sorted(minimal, key=_encoding))
+        if len(N) not in holding:
+            candidates.append((gens, N))
+    candidates.sort(key=lambda c: len(c[1]))
+    minimal: list[tuple[list[Permutation], set[tuple]]] = []
+    for gens, N in candidates:
+        if not any(kept <= N for _, kept in minimal):
+            minimal.append((gens, N))
+    minimal.sort(key=lambda c: sorted(c[1]))  # the element-set encoding
+    return tuple(Subgroup(G, gens, _bound=len(N)) for gens, N in minimal)
 
 
-def central_minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
+def _closure(degree: int, elements: Iterable[Permutation],
+             bound: int) -> tuple[list[Permutation], set[tuple]]:
+    """The generators ``subgroup_from_elements`` keeps from ``elements`` under
+    the same bound, and the image tuples of the group they generate: an
+    element is kept iff the group H generated so far misses it, and the walk
+    stops once H has ``bound`` elements.  A kept e grows H to <H, e> by
+    Dimino's closure on left cosets (Butler, *Fundamental Algorithms for
+    Permutation Groups*, §6): s * xH = (s * x)H lies inside the union found
+    so far or misses it, so one element decides.
+    """
+    identity = tuple(range(degree))
+    inside = {identity}
+    kept: list[Permutation] = []
+    lefts: list[Callable[[tuple], tuple]] = []  # s * x for each kept s
+    for e in elements:
+        if len(inside) == bound:  # all of <elements>: every later one is inside
+            break
+        if e.images in inside:
+            continue
+        kept.append(e)
+        lefts.append(itemgetter(*e.images))
+        H, reps = list(inside), [identity]  # <H, e>: the union of the cosets xH
+        for x in reps:  # grows while walked
+            for left in lefts:
+                y = left(x)
+                if y not in inside:
+                    inside.update(map(itemgetter(*y), H))  # y * h for each h in H
+                    reps.append(y)
+    return kept, inside
+
+
+def central_minimal_normal_subgroups(G: PermGroup) -> Iterator[Subgroup]:
     """The central members of ``minimal_normal_subgroups(G)``: the <x> with x
     central of prime order, each generated by its least nontrivial element and
-    listed by it, which is their encoding order, as two of them meet trivially."""
+    yielded by it, which is their encoding order, as two of them meet
+    trivially.  Each is built when the walk reaches it."""
     found: list[Subgroup] = []
     for x in filter(commutes_with(G), G.elements()):
         if _has_prime_order(x) and not any(c.contains(x) for c in found):
             found.append(subgroup_from_elements(G, [x]))
-    return found
+            yield found[-1]
 
 
 def _has_prime_order(x: Permutation) -> bool:
@@ -255,6 +297,8 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     (Robinson 1996), in P as conjugation by h is a left times a right
     translation, and minimal as M is.  Each is built from the P-class of its
     least prime-order element as the class walk builds it: same generators.
+    The chains are grown knowing their orders: |P| = n * |A| and |M| = |L| = n,
+    for n = |H/K|.
 
     P also records A itself, for ``chief_factors``.  A fixes the identity
     coset and M and L are regular, so each X of them meets A trivially; as
@@ -274,12 +318,12 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
          for h in cf.factor.generators]
         for times in (lambda c, h: c * h, lambda c, h: h * c)
     )
-    product = PermGroup(n, right + list(cf.image.generators))
+    product = PermGroup(n, right + list(cf.image.generators), _bound=order)
     normals = []
     for gens in (right,) if cf.factor.is_abelian() else (right, left):
         elems = PermGroup(n, gens, _bound=n).elements()
         cls = next(walk_classes(product, elems, _has_prime_order, set()))
-        normals.append(subgroup_from_elements(product, cls, _bound=product.order))
+        normals.append(subgroup_from_elements(product, cls, _bound=n))
     product._cached("min_normals", lambda P: tuple(sorted(normals, key=_encoding)))
     product._cached("action_image", lambda P: cf.image)
     return product

@@ -54,7 +54,7 @@ class PermGroup:
         self.chain.forget_sifted()  # the group never grows its chain
         self._cache: dict = {}
 
-    def _cached(self, key: str, compute: Callable[["PermGroup"], object]):
+    def _cached(self, key: str | tuple, compute: Callable[["PermGroup"], object]):
         """``compute(self)``, kept under ``key`` from the first read on."""
         val = self._cache.get(key)
         if val is None:
@@ -276,9 +276,17 @@ class Quotient:
     ``group`` is the quotient as a permutation group, ``project`` the natural
     homomorphism (kernel N).  When N is trivial the quotient is realized as G
     itself with the identity projection.
+
+    The coset part (``group``, ``reps``, the coset table) depends on N's
+    element set only.  With ``keep``, G keeps it under N's sorted element
+    images, so kept quotients by N share ``group`` and what it keeps, such as
+    its minimal normal subgroups; ``kernel`` stays the caller's own, and the
+    enumeration bound is checked on every call.  Nothing kept refers to G,
+    but it holds about 3|G/N|^2 tuple entries in ``group``'s chain and
+    elements for as long as G lives, so only walks that repeat keep.
     """
 
-    def __init__(self, ambient: PermGroup, kernel: Subgroup):
+    def __init__(self, ambient: PermGroup, kernel: Subgroup, keep: bool = False):
         self.ambient = ambient
         self.kernel = kernel
         if kernel.is_trivial():
@@ -287,31 +295,12 @@ class Quotient:
             self._coset_of: dict[tuple, int] | None = None
             return
         check_enumeration(ambient.order)  # before coset work; G is not enumerated
-        # n * rep for each kernel element n, on image tuples
-        kernel_gets = [itemgetter(*n.images) for n in kernel.elements()]
-        coset_of: dict[tuple, int] = {}
-        reps: list[tuple] = []
-
-        def register(rep: tuple) -> int:
-            idx = len(reps)
-            reps.append(rep)
-            for get in kernel_gets:
-                coset_of[get(rep)] = idx
-            return idx
-
-        register(tuple(range(ambient.degree)))
-        columns: list[list[int]] = [[] for _ in ambient.generators]
-        for rep in reps:  # breadth first: register appends to reps
-            times = itemgetter(*rep)  # g's images -> rep * g's images
-            for g, column in zip(ambient.generators, columns):
-                t = times(g.images)
-                idx = coset_of.get(t)
-                column.append(register(t) if idx is None else idx)
-        self.reps = tuple(map(Permutation._unchecked, reps))
-        self._coset_of = coset_of
-        gens = [Permutation._unchecked(tuple(column)) for column in columns]
-        # regular on the cosets: level 0's orbit alone completes the chain
-        self.group = PermGroup(len(reps), gens, _bound=len(reps))
+        if keep:
+            key = ("quotient", tuple(map(_IMAGES, kernel.elements())))
+            coset_part = ambient._cached(key, lambda G: _coset_action(G, kernel))
+        else:
+            coset_part = _coset_action(ambient, kernel)
+        self.group, self.reps, self._coset_of = coset_part
 
     def project(self, g: Permutation) -> Permutation:
         if self._coset_of is None:
@@ -336,8 +325,38 @@ class Quotient:
         return Subgroup(self.ambient, gens, name=name, _bound=self.kernel.order * qsub.order)
 
 
-def quotient_group(G: PermGroup, N: Subgroup) -> Quotient:
-    """Quotient of G by a normal subgroup N, with the projection map.
+def _coset_action(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[Permutation, ...], dict]:
+    """G's right-coset action on the cosets of N: the quotient group, the coset
+    representatives and the coset index of every element's image tuple."""
+    # n * rep for each kernel element n, on image tuples
+    kernel_gets = [itemgetter(*n.images) for n in N.elements()]
+    coset_of: dict[tuple, int] = {}
+    reps: list[tuple] = []
+
+    def register(rep: tuple) -> int:
+        idx = len(reps)
+        reps.append(rep)
+        for get in kernel_gets:
+            coset_of[get(rep)] = idx
+        return idx
+
+    register(tuple(range(G.degree)))
+    columns: list[list[int]] = [[] for _ in G.generators]
+    for rep in reps:  # breadth first: register appends to reps
+        times = itemgetter(*rep)  # g's images -> rep * g's images
+        for g, column in zip(G.generators, columns):
+            t = times(g.images)
+            idx = coset_of.get(t)
+            column.append(register(t) if idx is None else idx)
+    gens = [Permutation._unchecked(tuple(column)) for column in columns]
+    # regular on the cosets: level 0's orbit alone completes the chain
+    group = PermGroup(len(reps), gens, _bound=len(reps))
+    return group, tuple(map(Permutation._unchecked, reps)), coset_of
+
+
+def quotient_group(G: PermGroup, N: Subgroup, keep: bool = False) -> Quotient:
+    """Quotient of G by a normal subgroup N, with the projection map; with
+    ``keep``, later kept quotients by N share its coset action (``Quotient``).
 
     Raises PreconditionError when N is not normal in G.
     """
@@ -352,7 +371,7 @@ def quotient_group(G: PermGroup, N: Subgroup) -> Quotient:
                 raise PreconditionError(
                     f"subgroup is not normal: conjugate of {n!r} by {g!r} falls outside"
                 )
-    return Quotient(G, N)
+    return Quotient(G, N, keep)
 
 
 # -- products ----------------------------------------------------------------

@@ -75,12 +75,14 @@ class VerificationReport:
 def _climb(
     G: PermGroup,
     step_ok: Callable[[ChiefFactor], bool],
-    candidates: Callable[[PermGroup], list[Subgroup]] | None = None,
+    candidates: Callable[[PermGroup], Iterable[Subgroup]] | None = None,
+    keep: bool = False,
 ) -> tuple[Subgroup, tuple[tuple[Subgroup, int], ...]]:
     """Greedy ascent (``chiefs.ascend``): lift one admissible minimal normal
     subgroup per step, until none of ``candidates(G/Z)`` passes ``step_ok``.
-    Returns the top Z and the (term, factor order) of each step."""
-    trace = tuple((cf.upper, cf.factor.order) for cf in ascend(G, step_ok, candidates))
+    Returns the top Z and the (term, factor order) of each step.  With
+    ``keep``, G keeps the quotients G/Z for a later climb of G to share."""
+    trace = tuple((cf.upper, cf.factor.order) for cf in ascend(G, step_ok, candidates, keep))
     return (trace[-1][0] if trace else G.trivial_subgroup()), trace
 
 
@@ -95,8 +97,10 @@ def hypercenter(G: PermGroup, X: GroupClass) -> HypercenterResult:
 def semidirect_hypercenter(G: PermGroup, X: GroupClass) -> Subgroup:
     """Z_X(G) by the same climb, every step decided on the definitional
     semidirect path; the independent side against which class shortcuts
-    (such as the N* inner-automorphism test) are checked."""
-    Z, _ = _climb(G, lambda cf: is_class_central_semidirect(cf, X))
+    (such as the N* inner-automorphism test) are checked.  G keeps the
+    quotients it climbs through, which ``inner_induction_hypercenter`` shares
+    in ``verify_remark4``."""
+    Z, _ = _climb(G, lambda cf: is_class_central_semidirect(cf, X), keep=True)
     return Z
 
 
@@ -112,8 +116,9 @@ def intersection_of_class_maximal(G: PermGroup, X: GroupClass) -> Subgroup:
 
 def inner_induction_hypercenter(G: PermGroup) -> Subgroup:
     """Greatest normal subgroup below which every element of G induces inner
-    automorphisms on every chief factor (greedy climb form)."""
-    Z, _ = _climb(G, all_generators_induce_inner)
+    automorphisms on every chief factor (greedy climb form); G keeps the
+    quotients it climbs through, as ``semidirect_hypercenter`` does."""
+    Z, _ = _climb(G, all_generators_induce_inner, keep=True)
     return Z
 
 

@@ -251,24 +251,27 @@ class SubgroupLattice:
                     queue.append((img, img_elems))
         return orbit
 
-    def _cyclic_masks(self, index: dict[tuple, int]) -> dict[int, int]:
+    def _cyclic_masks(self, index: dict[tuple, int]) -> tuple[dict[int, int], list[int]]:
         """The mask of <x> for each element x of prime-power order > 1, from
-        the powers of x's image tuple; sets the p-element masks."""
+        the powers of x's image tuple, and each element's prime: p for a
+        nontrivial p-element, else 0.  Sets the p-element masks."""
         trivial_mask = 1 << self._identity_idx
         cyclic: dict[int, int] = {}
+        primes = [0] * self._n
         pmasks = self._pmasks = dict.fromkeys(prime_divisors(self._n), trivial_mask)
         for x, e in enumerate(self._elems):
             order = e.order()
             if not is_prime_power(order):
                 continue
-            pmasks[smallest_prime_factor(order)] |= 1 << x
+            p = primes[x] = smallest_prime_factor(order)
+            pmasks[p] |= 1 << x
             times = itemgetter(*e.images)  # x * q for an image tuple q
             mask, power = trivial_mask | 1 << x, e.images
             for _ in range(order - 2):
                 power = times(power)
                 mask |= 1 << index[power]
             cyclic[x] = mask
-        return cyclic
+        return cyclic, primes
 
     def _build(self, index: dict[tuple, int], nilpotent: bool, conj_arrays: list[list[int]],
                column: Callable[[int], list[int]],
@@ -282,7 +285,7 @@ class SubgroupLattice:
         moving = [arr for arr in conj_arrays if arr != identity]
 
         # cyclic prime-power seeds, one per distinct subgroup
-        cyclic = self._cyclic_masks(index)
+        cyclic, primes = self._cyclic_masks(index)
         seeds: dict[int, int] = {}
         for x, mask in cyclic.items():
             seeds.setdefault(mask, x)
@@ -351,8 +354,9 @@ class SubgroupLattice:
                                 seen[j] = 1
                                 stack.append(seed_list[j][1])
                 if nilpotent and not only_full:  # the filters of the module docstring
-                    pmask = next(m for m in self._pmasks.values() if m >> seed_gen & 1)
-                    if any(not pmask >> col[seed_gen] & 1 if pmask >> g & 1
+                    # s * g lies outside rep, as s does: it is not the identity
+                    p = primes[seed_gen]
+                    if any(primes[col[seed_gen]] != p if primes[g] == p
                            else arr[seed_gen] != seed_gen
                            for g, arr, col in zip(moving_gens, conjs, table.cols)):
                         continue

@@ -2,6 +2,7 @@
 and the factor semidirect product."""
 
 import gc
+import importlib
 import math
 import weakref
 from collections import Counter
@@ -26,6 +27,8 @@ from conftest import (
     naive_minimal_normal_subgroups,
     naive_project,
 )
+
+remark4_sides = importlib.import_module("permgroups.hypercenter").remark4_sides
 
 
 def _v4_in_s4():
@@ -569,6 +572,43 @@ def test_minimal_normal_subgroups_match_element_sets_semidirect(remark4_products
         _assert_minimal_normals_match(P)
 
 
+def _climbed_groups(G):
+    """G and the quotients G/Z its Remark 4 climbs meet, read off the coset
+    actions G keeps."""
+    remark4_sides(G, "")
+    return [G] + [kept[0] for key, kept in G._cache.items() if isinstance(key, tuple)]
+
+
+def _assert_closure_matches_oracle(G, monkeypatch):
+    # every prime-order class under |G|, and the classes the walk closes
+    # under the bound it gives them, against subgroup_from_elements
+    calls = []
+    build = chiefs._closure
+    monkeypatch.setattr(chiefs, "_closure", lambda degree, cls, bound: calls.append(
+        (cls, bound)) or build(degree, cls, bound))
+    chiefs._minimal_normals(G)
+    monkeypatch.undo()
+    calls += [(cls, G.order) for cls in walk_classes(G, G.elements(), chiefs._has_prime_order, set())]
+    for cls, bound in calls:
+        gens, elements = chiefs._closure(G.degree, cls, bound)
+        oracle = pg.subgroup_from_elements(G, cls, _bound=bound)
+        assert tuple(gens) == oracle.generators
+        assert elements == {e.images for e in oracle.elements()}
+    return len(calls)
+
+
+def test_closure_matches_subgroup_from_elements(monkeypatch):
+    # fresh standard groups and every fourth extended group, with the
+    # quotients their climbs meet
+    corpus = pg.standard_corpus() + pg.extended_corpus()[::4]
+    checked = groups = 0
+    while corpus:
+        for H in _climbed_groups(corpus.pop()):
+            checked += _assert_closure_matches_oracle(H, monkeypatch)
+            groups += 1
+    assert (groups, checked) == (472, 7127)
+
+
 def _assert_seeded_minimal_normals_match_walk(P):
     # factor_semidirect records P's minimal normal subgroups; the class walk
     # must build the same ones, down to generators and base
@@ -625,9 +665,9 @@ def test_minimal_normal_subgroups_skip_classes_in_prime_order_candidates(G, monk
     # abelian-heavy groups: most prime-order classes lie in a candidate of
     # prime order, and their normal closures are not built
     closures = []
-    build = chiefs.subgroup_from_elements
-    monkeypatch.setattr(chiefs, "subgroup_from_elements",
-                        lambda H, cls, **kw: closures.append(cls) or build(H, cls, **kw))
+    build = chiefs._closure
+    monkeypatch.setattr(chiefs, "_closure",
+                        lambda degree, cls, bound: closures.append(cls) or build(degree, cls, bound))
     _assert_minimal_normals_match(G)
     prime_classes = [cls for cls in G.conjugacy_classes() if is_prime(cls[0].order())]
     assert 0 < len(closures) < len(prime_classes)

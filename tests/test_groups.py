@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import permgroups as pg
 from permgroups.chain import StabilizerChain
+from permgroups.chiefs import ascend
 from permgroups.errors import InputError, PreconditionError, ResourceLimitError
 from permgroups.groups import walk_classes
 from permgroups.perms import Permutation, parse_permutation
@@ -204,6 +205,63 @@ def test_quotient_projection_is_homomorphism():
             assert Q.project(a * b) == Q.project(a) * Q.project(b)
     for n in V4.generators:
         assert Q.project(n).is_identity()
+
+
+def _kept_step_above(G, order, reverse=False):
+    """The factor of a kept walk of G whose quotient is by its term of this
+    order; ``reverse`` lifts the last candidate of each quotient."""
+    last_first = (lambda Q: pg.minimal_normal_subgroups(Q)[::-1]) if reverse else None
+    return next(cf for cf in ascend(G, candidates=last_first, keep=True)
+                if cf.quotient.kernel.order == order)
+
+
+def _kept_quotients(G):
+    return [key for key in G._cache if isinstance(key, tuple)]
+
+
+def test_climbs_to_one_subgroup_share_its_quotient():
+    # D12's two walks reach its C6 with different generator lists: the
+    # quotients above it share the coset action, each with its own kernel
+    G = pg.dihedral(12)
+    fwd, rev = (_kept_step_above(G, 6, reverse) for reverse in (False, True))
+    K, L = fwd.quotient.kernel, rev.quotient.kernel
+    assert K.element_set() == L.element_set() and K.generators != L.generators
+    assert fwd.quotient.group is rev.quotient.group
+    assert fwd.quotient.reps is rev.quotient.reps
+    # the minimal normal subgroups kept on the shared quotient group are read once
+    assert pg.minimal_normal_subgroups(fwd.quotient.group)[0] is fwd.factor
+    # each lifted term starts from its own kernel's generators
+    assert fwd.upper.generators[:len(K.generators)] == K.generators
+    assert rev.upper.generators[:len(L.generators)] == L.generators
+    assert fwd.upper.generators != rev.upper.generators
+    assert fwd.quotient.lift_subgroup(fwd.factor).generators == fwd.upper.generators
+
+
+def test_only_the_remark4_climbs_keep_their_quotients():
+    # every other walk divides G by each term once, and G would hold its
+    # quotients through the rest of its suite, such as a lattice build
+    G = pg.dihedral(12)
+    WalkedSeries(G)
+    pg.NCA.member(G)
+    pg.upper_central_series(G)
+    for X in (pg.NILPOTENT, pg.QUASINILPOTENT, pg.NCA):
+        pg.hypercenter(G, X)
+    assert _kept_quotients(G) == []
+    pg.inner_induction_hypercenter(G)
+    kept = _kept_quotients(G)
+    assert len(kept) == 1  # by Z(G) = C2, where the climb stops; G/1 is G itself
+    pg.semidirect_hypercenter(G, pg.QUASINILPOTENT)
+    assert _kept_quotients(G) == kept
+
+
+def test_shared_quotient_checks_the_enumeration_bound_on_every_read():
+    G = pg.dihedral(12)
+    C6 = _kept_step_above(G, 6).quotient.kernel
+    first = pg.quotient_group(G, C6, keep=True)
+    with pg.limits_scope(pg.Limits(enumeration=11)):
+        with pytest.raises(ResourceLimitError, match="^group order 12 exceeds enumeration bound 11$"):
+            pg.quotient_group(G, C6, keep=True)
+    assert pg.quotient_group(G, C6, keep=True).group is first.group
 
 
 def test_quotient_requires_normal():

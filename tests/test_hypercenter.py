@@ -214,7 +214,7 @@ def test_n_climb_candidates_are_the_central_minimal_normal_subgroups(monkeypatch
     sizes = []
 
     def checked(Q):
-        got = offer(Q)
+        got = list(offer(Q))
         want = [mn for mn in pg.minimal_normal_subgroups(Q)
                 if all(g * h == h * g for g in mn.generators for h in Q.generators)]
         assert [(c.order, c.generators, c.chain.base) for c in got] == [

@@ -5,7 +5,7 @@ import pytest
 import permgroups as pg
 from permgroups.errors import ResourceLimitError
 from permgroups.lattice import MASK_RULES
-from permgroups.primes import is_prime, is_prime_power
+from permgroups.primes import is_prime, is_prime_power, smallest_prime_factor
 
 from conftest import (
     brute_subgroups,
@@ -190,7 +190,8 @@ def test_coset_closure_matches_elementwise_closure(G, monkeypatch):
         masks = [lattice._masks[i] for i in orbit]
         orbit_of.update(dict.fromkeys(masks, masks))
     known = set()
-    for mask in lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)}).values():
+    cyclic, _ = lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)})
+    for mask in cyclic.values():
         known.update(orbit_of[mask])
     H_before = None
     for H_mask, col_gens, seed, mask in joins:
@@ -236,9 +237,11 @@ def test_word_arrays_match_products(monkeypatch):
             assert list(built["column"](x)) == [index[e * g] for e in elems]
             g_inv = g.inverse()
             assert list(built["conj"](x)) == [index[g_inv * e * g] for e in elems]
-        cyclic = lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)})
+        cyclic, primes = lattice._cyclic_masks({e.images: i for i, e in enumerate(elems)})
         prime_power = [x for x, e in enumerate(elems) if is_prime_power(e.order())]
         assert sorted(cyclic) == prime_power
+        assert primes == [smallest_prime_factor(e.order()) if x in prime_power else 0
+                          for x, e in enumerate(elems)]
         for x in prime_power:
             expected = closure_elements(G.degree, [elems[x]])
             assert cyclic[x] == sum(1 << index[e] for e in expected)
