@@ -73,12 +73,14 @@ class StabilizerChain:
         return self._sift(p.images, 0) is None
 
     def elements(self) -> list[Permutation]:
-        """All group elements, as transversal products (deterministic order)."""
-        elems = [self._identity]
+        """All group elements, as transversal products (deterministic order).
+        The deepest level's transversal tuples are taken as they are, so a
+        group with one level holds no copy of them."""
+        elems = None
         for lvl in reversed(self.levels):
             reps = [pair[0] for _, pair in sorted(lvl.transversal.items())]
-            elems = [eu for e in elems for eu in map(itemgetter(*e), reps)]
-        return [Permutation._unchecked(e) for e in elems]
+            elems = reps if elems is None else [eu for e in elems for eu in map(itemgetter(*e), reps)]
+        return [Permutation._unchecked(e) for e in elems or [self._identity]]
 
     # -- construction ------------------------------------------------------
 

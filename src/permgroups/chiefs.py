@@ -33,6 +33,7 @@ from .groups import (
     PermGroup,
     Quotient,
     Subgroup,
+    _closure,
     centralizer,
     commutes_with,
     join_subgroups,
@@ -84,7 +85,7 @@ class ChiefFactor:
         in G (the test oracle)."""
         Q = self.quotient
         C = Q.lift_subgroup(centralizer(Q.group, self.factor))
-        return subgroup_from_elements(self.ambient, C.elements(), _bound=C.order)
+        return subgroup_from_elements(self.ambient, C.elements())
 
     def is_central(self) -> bool:
         return self.image.is_trivial()
@@ -161,14 +162,15 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
 
 
 def _minimal_normals(G: PermGroup) -> tuple[Subgroup, ...]:
-    """Candidates are decided on element sets of image tuples; only the
-    minimal ones become subgroups, with the generators ``_closure`` kept."""
+    """Candidates are decided on the element sets of image tuples ``_closure``
+    gives; only the minimal ones become subgroups, with the generators it kept,
+    those ``subgroup_from_elements(G, cls)`` keeps."""
     candidates: list[tuple[list[Permutation], set[tuple]]] = []
     seen: set[tuple] = set()
     for cls in walk_classes(G, G.elements(), _has_prime_order, seen):
         rep = cls[0].images
         holding = [len(c) for _, c in candidates if rep in c]  # each holds <<rep>>
-        gens, N = _closure(G.degree, cls, min(holding, default=G.order))  # <cls> = <<rep>>
+        gens, N = _closure(G.degree, cls)  # <cls> = <<rep>>
         if is_prime(len(N)):
             seen.update(N)
         # N repeats a candidate iff one of its order holds rep (both are normal)
@@ -179,39 +181,13 @@ def _minimal_normals(G: PermGroup) -> tuple[Subgroup, ...]:
     for gens, N in candidates:
         if not any(kept <= N for _, kept in minimal):
             minimal.append((gens, N))
-    minimal.sort(key=lambda c: sorted(c[1]))  # the element-set encoding
-    return tuple(Subgroup(G, gens, _bound=len(N)) for gens, N in minimal)
+    return _by_encoding(G, minimal)
 
 
-def _closure(degree: int, elements: Iterable[Permutation],
-             bound: int) -> tuple[list[Permutation], set[tuple]]:
-    """The generators ``subgroup_from_elements`` keeps from ``elements`` under
-    the same bound, and the image tuples of the group they generate: an
-    element is kept iff the group H generated so far misses it, and the walk
-    stops once H has ``bound`` elements.  A kept e grows H to <H, e> by
-    Dimino's closure on left cosets (Butler, *Fundamental Algorithms for
-    Permutation Groups*, §6): s * xH = (s * x)H lies inside the union found
-    so far or misses it, so one element decides.
-    """
-    identity = tuple(range(degree))
-    inside = {identity}
-    kept: list[Permutation] = []
-    lefts: list[Callable[[tuple], tuple]] = []  # s * x for each kept s
-    for e in elements:
-        if len(inside) == bound:  # all of <elements>: every later one is inside
-            break
-        if e.images in inside:
-            continue
-        kept.append(e)
-        lefts.append(itemgetter(*e.images))
-        H, reps = list(inside), [identity]  # <H, e>: the union of the cosets xH
-        for x in reps:  # grows while walked
-            for left in lefts:
-                y = left(x)
-                if y not in inside:
-                    inside.update(map(itemgetter(*y), H))  # y * h for each h in H
-                    reps.append(y)
-    return kept, inside
+def _by_encoding(G: PermGroup, closures: list) -> tuple[Subgroup, ...]:
+    """The subgroups ``_closure``'s results generate, by sorted element set."""
+    closures = sorted(closures, key=lambda c: sorted(c[1]))  # the element-set encoding
+    return tuple(Subgroup(G, gens, _bound=len(N)) for gens, N in closures)
 
 
 def central_minimal_normal_subgroups(G: PermGroup) -> Iterator[Subgroup]:
@@ -243,11 +219,6 @@ def _has_prime_order(x: Permutation) -> bool:
     for _ in range(p - 1):
         power = itemgetter(*power)(images)
     return power == tuple(range(len(images)))
-
-
-def _encoding(sub: PermGroup) -> tuple:
-    """Sorted element-set encoding used for deterministic tie-breaking."""
-    return tuple(p.images for p in sub.elements())
 
 
 def chief_series(G: PermGroup) -> ChiefSeries:
@@ -295,10 +266,10 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     A = G/C_G(H/K), the stabilizer of the identity coset, is faithful on M, so
     C_P(M) = M when H/K is abelian.  Else C_P(M) is the left translations L
     (Robinson 1996), in P as conjugation by h is a left times a right
-    translation, and minimal as M is.  Each is built from the P-class of its
-    least prime-order element as the class walk builds it: same generators.
-    The chains are grown knowing their orders: |P| = n * |A| and |M| = |L| = n,
-    for n = |H/K|.
+    translation, and minimal as M is.  Each is the closure of the P-class of
+    its least prime-order element, and they are sorted by their element sets,
+    as in the class walk: same generators, same order.  P's chain is built
+    knowing |P| = n * |A|, for n = |H/K|.
 
     P also records A itself, for ``chief_factors``.  A fixes the identity
     coset and M and L are regular, so each X of them meets A trivially; as
@@ -322,8 +293,7 @@ def factor_semidirect(cf: ChiefFactor) -> PermGroup:
     normals = []
     for gens in (right,) if cf.factor.is_abelian() else (right, left):
         elems = PermGroup(n, gens, _bound=n).elements()
-        cls = next(walk_classes(product, elems, _has_prime_order, set()))
-        normals.append(subgroup_from_elements(product, cls, _bound=n))
-    product._cached("min_normals", lambda P: tuple(sorted(normals, key=_encoding)))
+        normals.append(_closure(n, next(walk_classes(product, elems, _has_prime_order, set()))))
+    product._cached("min_normals", lambda P: _by_encoding(P, normals))
     product._cached("action_image", lambda P: cf.image)
     return product

@@ -11,8 +11,8 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
-from .errors import InputError, PreconditionError
-from .limits import check_enumeration
+from .errors import InputError, PreconditionError, ResourceLimitError
+from .limits import check_enumeration, current
 from .perms import Permutation
 
 # sort key giving the same order as Permutation.__lt__, without its calls
@@ -28,10 +28,9 @@ class PermGroup:
         generators: Iterable[Permutation] = (),
         name: str | None = None,
         *,
-        _chain: StabilizerChain | None = None,
         _bound: int = 0,
     ):
-        # _chain: a chain grown from exactly these generators; _bound: see StabilizerChain
+        # _bound: see StabilizerChain
         if degree < 1:
             raise InputError("group degree must be at least 1")
         gens: list[Permutation] = []
@@ -50,7 +49,7 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self.chain = StabilizerChain(degree, self.generators, _bound) if _chain is None else _chain
+        self.chain = StabilizerChain(degree, self.generators, _bound)
         self.chain.forget_sifted()  # the group never grows its chain
         self._cache: dict = {}
 
@@ -65,7 +64,7 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return self._cached("order", _chain_order)
+        return self._cached("order", lambda G: G.chain.order())
 
     def contains(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
@@ -120,10 +119,6 @@ class PermGroup:
         return f"<PermGroup{label} degree={self.degree} order={self.order}>"
 
 
-def _chain_order(G: PermGroup) -> int:
-    return G.chain.order()
-
-
 class Subgroup(PermGroup):
     """A subgroup of an ambient group, which its generators are checked
     against; it carries its own stabilizer chain and keeps no reference to
@@ -135,14 +130,13 @@ class Subgroup(PermGroup):
         generators: Iterable[Permutation] = (),
         name: str | None = None,
         *,
-        _chain: StabilizerChain | None = None,
         _bound: int = 0,
     ):
         generators = tuple(generators)
         for g in generators:
             if not ambient.contains(g):
                 raise InputError(f"generator {g!r} is not a member of the ambient group")
-        super().__init__(ambient.degree, generators, name=name, _chain=_chain, _bound=_bound)
+        super().__init__(ambient.degree, generators, name=name, _bound=_bound)
 
 
 def walk_classes(
@@ -181,24 +175,46 @@ def walk_classes(
 
 
 def subgroup_from_elements(
-    G: PermGroup, elements: Iterable[Permutation], name: str | None = None, *, _bound: int = 0
+    G: PermGroup, elements: Iterable[Permutation], name: str | None = None
 ) -> Subgroup:
-    """Subgroup generated by the given elements, with a reduced generating set.
+    """Subgroup generated by the given elements, with the generators
+    ``_closure`` keeps from them in image-tuple order, so the list stays
+    logarithmic in the subgroup order.  It enumerates the subgroup, under the
+    enumeration bound."""
+    gens, closed = _closure(G.degree, sorted(set(elements), key=_IMAGES))
+    return Subgroup(G, gens, name=name, _bound=len(closed))
 
-    Elements already generated by previously kept ones are skipped, so the
-    resulting generator list stays logarithmic in the subgroup order.
+
+def _closure(degree: int, elements: Iterable[Permutation]) -> tuple[list[Permutation], set[tuple]]:
+    """The generators kept from ``elements`` and the image tuples of the group
+    H they generate: an element is kept iff the group generated so far misses
+    it.  A kept e grows H to <H, e> by Dimino's closure on left cosets
+    (Butler, *Fundamental Algorithms for Permutation Groups*, §6):
+    s * xH = (s * x)H lies inside the union found so far or misses it, so one
+    element decides.  Raises ResourceLimitError before a coset would take the
+    closure past the enumeration bound.
     """
-    gens: list[Permutation] = []
-    # grown in place: the same _add sequence StabilizerChain(degree, gens) runs
-    chain = StabilizerChain(G.degree, (), _bound)
-    for e in sorted(set(elements), key=_IMAGES):
-        if e.is_identity() or chain.contains(e):
+    bound = current().enumeration
+    identity = tuple(range(degree))
+    inside = {identity}
+    kept: list[Permutation] = []
+    lefts: list[Callable[[tuple], tuple]] = []  # s * x for each kept s
+    for e in elements:
+        if e.images in inside:
             continue
-        gens.append(e)
-        chain._add(e)
-        if chain.order() == _bound:  # all of <elements>: every later one is contained
-            break
-    return Subgroup(G, gens, name=name, _chain=chain)
+        kept.append(e)
+        lefts.append(itemgetter(*e.images))
+        H, reps = list(inside), [identity]  # <H, e>: the union of the cosets xH
+        for x in reps:  # grows while walked
+            for left in lefts:
+                y = left(x)
+                if y not in inside:
+                    if len(inside) + len(H) > bound:
+                        raise ResourceLimitError("subgroup generated by the given elements "
+                                                 f"exceeds enumeration bound {bound}")
+                    inside.update(map(itemgetter(*y), H))  # y * h for each h in H
+                    reps.append(y)
+    return kept, inside
 
 
 def join_subgroups(G: PermGroup, *subs: PermGroup, name: str | None = None) -> Subgroup:
@@ -238,7 +254,9 @@ def center(G: PermGroup) -> Subgroup:
 
 
 def normal_closure(G: PermGroup, S: PermGroup) -> Subgroup:
-    """Smallest normal subgroup of G containing S (conjugation-closure fixpoint)."""
+    """Smallest normal subgroup of G containing S (conjugation-closure fixpoint).
+    Its chain grows in place and is not kept: the subgroup builds the same one
+    from the same generators, knowing its order."""
     for s in S.generators:
         if not G.contains(s):
             raise InputError("S is not a subgroup of G")
@@ -256,15 +274,16 @@ def normal_closure(G: PermGroup, S: PermGroup) -> Subgroup:
                     # grown in place, as StabilizerChain(degree, gens) would
                     chain._add(c)
                     changed = True
-    return Subgroup(G, gens, _chain=chain)
+    return Subgroup(G, gens, _bound=chain.order())
 
 
 def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> Subgroup:
-    """[A, B]: normal closure in <A, B> of the generator commutators."""
+    """[A, B]: normal closure in <A, B> of the generator commutators, a
+    subgroup of G too (a subgroup keeps no ambient).  Nothing is enumerated,
+    so it serves groups above the enumeration bound."""
     J = join_subgroups(G, A, B)
     comms = [a.commutator_with(b) for a in A.generators for b in B.generators]
-    closed = normal_closure(J, subgroup_from_elements(J, comms))
-    return Subgroup(G, closed.generators)
+    return normal_closure(J, J.subgroup(comms))
 
 
 # -- quotients -------------------------------------------------------------

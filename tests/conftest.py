@@ -7,7 +7,8 @@ criterion, ``naive_lattice`` is the lattice join loop rebuilt without
 its shortcuts, ``elementwise_closure_mask`` is a lattice join grown one
 element at a time, ``naive_factor_centralizer`` tests every element of G,
 ``induces_inner_automorphism`` tries every coset as the inner automorphism,
-``naive_project`` maps g into G/K coset by coset,
+``naive_project`` maps g into G/K coset by coset, ``chain_subgroup``
+keeps an element iff a stabilizer chain grown from the kept ones misses it,
 ``element_semidirect`` builds the chief factor's semidirect product on
 the factor's elements, ``naive_minimal_normal_subgroups`` compares full
 element sets, ``hypercenter_oracle`` is the product of every
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import settings
 
 import permgroups as pg
+from permgroups.chain import StabilizerChain
 from permgroups.chiefs import ascend
 from permgroups.perms import Permutation
 from permgroups.primes import is_prime
@@ -52,6 +54,23 @@ def closure_elements(degree: int, gens) -> frozenset[Permutation]:
                     new.append(y)
         frontier = new
     return frozenset(known)
+
+
+def chain_subgroup(G: pg.PermGroup, elements, bound: int = 0) -> pg.Subgroup:
+    """<elements> with the generators a stabilizer chain keeps: in image-tuple
+    order, an element is kept iff the chain grown in place from the kept ones
+    misses it, and the walk stops once the chain has ``bound`` elements (a
+    bound b >= |<elements>|, as ``StabilizerChain`` takes it).  The oracle of
+    the element-set closure behind ``subgroup_from_elements``."""
+    chain = StabilizerChain(G.degree, (), bound)
+    gens = []
+    for e in sorted(set(elements), key=lambda p: p.images):
+        if chain.order() == bound:  # all of <elements>: every later one is contained
+            break
+        if not chain.contains(e):
+            gens.append(e)
+            chain._add(e)
+    return pg.Subgroup(G, gens)
 
 
 def brute_subgroups(G: pg.PermGroup) -> set[frozenset[Permutation]]:
@@ -227,7 +246,7 @@ def naive_factor_centralizer(cf: pg.ChiefFactor) -> tuple[pg.Subgroup, frozenset
         g_inv = g.inverse()
         if all(coset_of(g_inv * h * g) == c for h, c in gen_cosets):
             passing.append(g)
-    return pg.subgroup_from_elements(cf.ambient, passing), frozenset(passing)
+    return chain_subgroup(cf.ambient, passing), frozenset(passing)
 
 
 def naive_project(Q: pg.Quotient, g: Permutation) -> Permutation:
@@ -338,7 +357,7 @@ def naive_minimal_normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:
         rep = cls[0]
         if rep.is_identity() or not is_prime(rep.order()):
             continue
-        N = pg.subgroup_from_elements(G, cls)
+        N = chain_subgroup(G, cls)
         key = frozenset(closure_elements(G.degree, N.generators))
         if key not in seen:
             seen.add(key)
@@ -363,7 +382,7 @@ def normal_subgroups(G: pg.PermGroup) -> list[pg.Subgroup]:
     for cls in G.conjugacy_classes():
         if cls[0].is_identity():
             continue
-        N = pg.subgroup_from_elements(G, cls)
+        N = chain_subgroup(G, cls)
         key = N.element_set()
         if key not in seen:
             seen.add(key)

@@ -18,6 +18,7 @@ from permgroups.primes import is_prime, prime_divisors
 
 from conftest import (
     WalkedSeries,
+    chain_subgroup,
     element_orders,
     element_semidirect,
     factor_element_cosets,
@@ -580,20 +581,21 @@ def _climbed_groups(G):
 
 
 def _assert_closure_matches_oracle(G, monkeypatch):
-    # every prime-order class under |G|, and the classes the walk closes
-    # under the bound it gives them, against subgroup_from_elements
+    # every prime-order class, and the classes the walk closes, against the
+    # chain reduction; subgroup_from_elements on the same class too
     calls = []
     build = chiefs._closure
-    monkeypatch.setattr(chiefs, "_closure", lambda degree, cls, bound: calls.append(
-        (cls, bound)) or build(degree, cls, bound))
+    monkeypatch.setattr(chiefs, "_closure",
+                        lambda degree, cls: calls.append(cls) or build(degree, cls))
     chiefs._minimal_normals(G)
     monkeypatch.undo()
-    calls += [(cls, G.order) for cls in walk_classes(G, G.elements(), chiefs._has_prime_order, set())]
-    for cls, bound in calls:
-        gens, elements = chiefs._closure(G.degree, cls, bound)
-        oracle = pg.subgroup_from_elements(G, cls, _bound=bound)
+    calls += walk_classes(G, G.elements(), chiefs._has_prime_order, set())
+    for cls in calls:
+        gens, elements = chiefs._closure(G.degree, cls)
+        oracle = chain_subgroup(G, cls, G.order)
         assert tuple(gens) == oracle.generators
         assert elements == {e.images for e in oracle.elements()}
+        assert pg.subgroup_from_elements(G, cls).generators == oracle.generators
     return len(calls)
 
 
@@ -667,7 +669,7 @@ def test_minimal_normal_subgroups_skip_classes_in_prime_order_candidates(G, monk
     closures = []
     build = chiefs._closure
     monkeypatch.setattr(chiefs, "_closure",
-                        lambda degree, cls, bound: closures.append(cls) or build(degree, cls, bound))
+                        lambda degree, cls: closures.append(cls) or build(degree, cls))
     _assert_minimal_normals_match(G)
     prime_classes = [cls for cls in G.conjugacy_classes() if is_prime(cls[0].order())]
     assert 0 < len(closures) < len(prime_classes)

@@ -314,9 +314,9 @@ def _chain_levels(chain):
 @pytest.mark.parametrize("G", [pg.symmetric(4), pg.special_linear2(3), pg.dihedral(12),
                                pg.alternating(5)], ids=lambda G: G.name)
 def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
-    # subgroup_from_elements and normal_closure grow one chain with _add; it
-    # must equal the chain built from scratch on the kept generators, and the
-    # returned subgroup keeps it
+    # normal_closure grows one chain with _add to choose its generators; it
+    # and the chain of the subgroup returned, built knowing the order, must
+    # both equal the chain built from scratch on those generators
     from permgroups import groups
     from permgroups.chain import StabilizerChain
 
@@ -329,24 +329,15 @@ def test_chains_grown_in_place_equal_fresh_chains(G, monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    elems = G.elements()
     S = G.subgroup([G.generators[-1]])
     monkeypatch.setattr(groups, "StabilizerChain", Recording)
-    cases = [
-        lambda: pg.subgroup_from_elements(G, elems),
-        lambda: pg.normal_closure(G, S),
-    ]
-    for make in cases:
-        built.clear()
-        H = make()
-        # the first chain built inside the call is the one grown in place
-        grown = built[0]
-        fresh = StabilizerChain(G.degree, H.generators)
-        assert _chain_levels(grown) == _chain_levels(fresh)
-        assert grown.order() == H.order
-        # the subgroup keeps it, so its base and transversals are the fresh
-        # chain's, and no second chain is built
-        assert H.chain is grown and len(built) == 1
+    H = pg.normal_closure(G, S)
+    # the first chain built inside the call is the one grown in place
+    grown = built[0]
+    fresh = StabilizerChain(G.degree, H.generators)
+    assert _chain_levels(grown) == _chain_levels(fresh)
+    assert _chain_levels(H.chain) == _chain_levels(fresh)
+    assert grown.order() == H.order
 
 
 def test_bounded_chains_equal_unbounded_chains(monkeypatch):

@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import time
+import tracemalloc
 
 import pytest
 
@@ -45,6 +47,29 @@ def test_is_class_central_paths_under_a_tight_bound():
         assert is_class_central(cf, pg.QUASINILPOTENT) is False
         with pytest.raises(ResourceLimitError):
             is_class_central(cf, pg.NCA)
+
+
+def test_generic_normal_structure_never_enumerates():
+    # commutator subgroups and the nilpotency test live on chains alone, so an
+    # enumeration bound of 100 leaves S12 (order 479001600) to them; they took
+    # 0.04-0.06 s on a 2-core VM
+    start = time.perf_counter()
+    with pg.limits_scope(pg.Limits(enumeration=100)):
+        S12 = pg.symmetric(12)
+        assert pg.commutator_subgroup(S12, S12, S12).order == 239500800
+        assert pg.is_nilpotent(pg.symmetric(12)) is False
+    assert time.perf_counter() - start < 1
+    # subgroup_from_elements enumerates <elements>: it stops before a coset
+    # takes its closure past the default bound of 10000 elements (2.5 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^subgroup generated by the given elements "
+                                                     "exceeds enumeration bound 10000$"):
+            pg.subgroup_from_elements(S12, S12.generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
 
 
 def test_lattice_bound_names_the_bound():
